@@ -22,7 +22,6 @@ from .fields import (
     l2_error,
     project,
     project_kinetic,
-    trace,
 )
 from .harness import (
     IC_REGISTRY,
@@ -49,7 +48,6 @@ from .scheme import (
     SchemeConfig,
     StabilityConstants,
     State,
-    diagnostics,
     energy,
     init_state,
     load_state,

@@ -12,8 +12,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-_XI_TOL = 1e-12
-
 
 class LegendreBasis:
     """Legendre modes P_0..P_degree with endpoint tables and mass weights.
@@ -35,23 +33,6 @@ class LegendreBasis:
         self.ref_mass = 2.0 / (2.0 * js + 1.0)
         for arr in (self.at_right, self.at_left, self.ref_mass):
             arr.flags.writeable = False
-
-    def eval(self, j, xi):
-        """Evaluate P_j(xi) by the three-term recurrence.
-
-        Requires 0 <= j <= degree and |xi| <= 1.
-        """
-        if j < 0 or j > self.degree:
-            raise ValueError(f"mode index {j} outside 0..{self.degree}")
-        xi = np.asarray(xi, dtype=float)
-        if np.any(np.abs(xi) > 1.0 + _XI_TOL):
-            raise ValueError("reference coordinate outside [-1, 1]")
-        xi = np.clip(xi, -1.0, 1.0)
-        prev = np.zeros_like(xi)
-        cur = np.ones_like(xi)
-        for n in range(1, j + 1):
-            prev, cur = cur, ((2 * n - 1) * xi * cur - (n - 1) * prev) / n
-        return cur if cur.ndim else float(cur)
 
     def vandermonde(self, xi):
         """Values of all modes at the points xi, shape (len(xi), degree+1)."""

@@ -12,7 +12,6 @@ Projections:
 For k = 0 the Radau modes reduce to endpoint interpolation.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,17 +230,6 @@ def interface_traces(field):
     return np.roll(right_of_cell, 1), left_of_cell
 
 
-def trace(field, interface, side):
-    """Single one-sided interface value; side is '-' or '+'."""
-    minus, plus = interface_traces(field)
-    i = interface % field.mesh.n_cells
-    if side == "-":
-        return float(minus[i])
-    if side == "+":
-        return float(plus[i])
-    raise ValueError(f"side must be '-' or '+', got {side!r}")
-
-
 def jumps(field):
     """[u] = u(+) - u(-) at every interface."""
     minus, plus = interface_traces(field)
@@ -259,14 +247,6 @@ def inner(a, b):
     a._check_compatible(b)
     md = mass_diagonal(a.degree, a.mesh.h)
     return float(np.einsum("ij,ij,j->", a.coeff, b.coeff, md))
-
-
-def norm(field):
-    return field.norm()
-
-
-def triple_norm(kfield):
-    return kfield.triple_norm()
 
 
 def l2_error(field, exact, n_points=None):
@@ -296,27 +276,3 @@ def l2_distance(coarse, fine, n_points=None):
     coarse_vals = coarse.eval(x.ravel()).reshape(x.shape)
     diff = coarse_vals - fine_vals
     return float(np.sqrt(0.5 * fine.mesh.h * np.einsum("ip,p->", diff**2, weights)))
-
-
-def write_coefficients(field, path):
-    """CSV snapshot with columns (cell, x_left, mode, coefficient)."""
-    edges = field.mesh.edges()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "x_left", "mode", "coefficient"])
-        for i in range(field.mesh.n_cells):
-            for j in range(field.degree + 1):
-                writer.writerow([i, f"{edges[i]:.17g}", j, f"{field.coeff[i, j]:.17g}"])
-
-
-def write_samples(field, path, per_cell=4):
-    """CSV sample (x, value) at per_cell equispaced points in every cell."""
-    offsets = (np.arange(per_cell) + 0.5) / per_cell
-    edges = field.mesh.edges()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for i in range(field.mesh.n_cells):
-            xs = edges[i] + offsets * field.mesh.h
-            for x, v in zip(xs, field.eval(xs)):
-                writer.writerow([f"{x:.17g}", f"{v:.17g}"])

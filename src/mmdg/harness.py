@@ -9,7 +9,7 @@ column-name line, then data rows.  Output is deterministic for a fixed spec
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -119,18 +119,18 @@ class ExperimentSpec:
             raise ValueError("cells must be a non-empty list of positive ints")
         if len(self.eps) == 0:
             raise ValueError("eps list must be non-empty")
-        if any(e < 0 for e in self.eps):
-            raise ValueError("eps values must be >= 0")
-        if self.tmax <= 0:
-            raise ValueError("tmax must be positive")
+        if not all(math.isfinite(e) and e >= 0 for e in self.eps):
+            raise ValueError("eps values must be finite and >= 0")
+        if not (math.isfinite(self.tmax) and self.tmax > 0):
+            raise ValueError("tmax must be positive and finite")
         if not 0 < self.safety < 1:
             raise ValueError("safety factor must be in (0, 1)")
         if not 0 < self.c0 < 1:
             raise ValueError("c0 must be in (0, 1)")
         if self.ic not in IC_REGISTRY:
             raise ValueError(f"unknown initial condition {self.ic!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         return self
 
 
@@ -167,60 +167,56 @@ def _steps_for(tmax, dt, exact_dt):
     return (n, dt) if exact_dt else (n, tmax / n)
 
 
+def pack_state(state):
+    """State as one (n_cells, (1 + nv)(k + 1)) array: rho modes, then g per node."""
+    n = state.rho.coeff.shape[0]
+    flat_g = np.swapaxes(state.g.coeff, 0, 1).reshape(n, -1)
+    return np.concatenate([state.rho.coeff, flat_g], axis=1)
+
+
+def unpack_state(packed, config, n=0, t=0.0, g_norm_lag=0.0):
+    """Inverse of pack_state on the config's mesh."""
+    k1 = config.degree + 1
+    rho = DGField(config.mesh, config.degree, packed[:, :k1].copy())
+    g_part = packed[:, k1:].reshape(config.mesh.n_cells, config.space.n_nodes, k1)
+    g = KineticField(
+        config.space, config.mesh, config.degree, np.ascontiguousarray(np.swapaxes(g_part, 0, 1))
+    )
+    return scheme.State(rho=rho, g=g, n=n, t=t, g_norm_lag=g_norm_lag)
+
+
 class StencilStepper:
     """Compiled form of the linear one-step map as a banded block stencil.
 
     The step couples each cell to at most two neighbors on each side, so the
     whole update is five (block x block) matrices applied to the packed state
     (n_cells, block).  Blocks are probed from scheme.step itself, which keeps
-    this a pure acceleration of the reference stepper.
+    this a pure acceleration of the reference stepper.  The step is
+    translation-invariant on the uniform periodic mesh, so the blocks depend
+    only on h: they are probed on five cells of the same width, and folding
+    the offsets mod N makes them exact for every N >= 1.
     """
 
     REACH = 2
 
     def __init__(self, config):
         self.config = config
-        n = config.mesh.n_cells
-        if n < 2 * self.REACH + 1:
-            raise ValueError("stencil stepper needs at least five cells")
         k1 = config.degree + 1
-        nv = config.space.n_nodes
-        self.block = (1 + nv) * k1
+        self.block = (1 + config.space.n_nodes) * k1
         self._k1 = k1
         self._mass = mass_diagonal(config.degree, config.mesh.h)
-        probe_cell = self.REACH
-        blocks = [np.zeros((self.block, self.block)) for _ in range(2 * self.REACH + 1)]
+        width = 2 * self.REACH + 1
+        mesh = config.mesh
+        probe = replace(config, mesh=Mesh1D(mesh.x_min, mesh.x_min + width * mesh.h, width))
+        blocks = [np.zeros((self.block, self.block)) for _ in range(width)]
         for b in range(self.block):
-            packed = np.zeros((n, self.block))
-            packed[probe_cell, b] = 1.0
-            out = self._pack(scheme.step(self._unpack(packed), config))
-            for off in range(-self.REACH, self.REACH + 1):
-                blocks[off + self.REACH][:, b] = out[(probe_cell + off) % n]
+            packed = np.zeros((width, self.block))
+            packed[self.REACH, b] = 1.0
+            out = pack_state(scheme.step(unpack_state(packed, probe), probe))
+            for off in range(width):
+                blocks[off][:, b] = out[off]
         self._mblocks = blocks
         self._blocks = [m.T.copy() for m in blocks]
-
-    def _pack(self, state):
-        n = self.config.mesh.n_cells
-        flat_g = np.swapaxes(state.g.coeff, 0, 1).reshape(n, -1)
-        return np.concatenate([state.rho.coeff, flat_g], axis=1)
-
-    def _unpack(self, packed):
-        cfg = self.config
-        n = cfg.mesh.n_cells
-        rho = DGField(cfg.mesh, cfg.degree, packed[:, : self._k1].copy())
-        g_part = packed[:, self._k1 :].reshape(n, cfg.space.n_nodes, self._k1)
-        g = KineticField(
-            cfg.space, cfg.mesh, cfg.degree, np.ascontiguousarray(np.swapaxes(g_part, 0, 1))
-        )
-        return scheme.State(rho=rho, g=g, n=0, t=0.0, g_norm_lag=g.triple_norm())
-
-    def pack_state(self, state):
-        return self._pack(state)
-
-    def unpack_state(self, packed, n=0, t=0.0, g_norm_lag=0.0):
-        state = self._unpack(packed)
-        state.n, state.t, state.g_norm_lag = n, t, g_norm_lag
-        return state
 
     def apply(self, packed):
         out = np.roll(packed, -self.REACH, axis=0) @ self._blocks[0]
@@ -280,17 +276,18 @@ def _batch_matrix_power(mats, exponent):
 
 
 def run_fixed_steps(config, state, n_steps):
-    """Advance n_steps with the compiled propagator (reference loop if tiny mesh)."""
-    if config.mesh.n_cells < 2 * StencilStepper.REACH + 1:
-        for _ in range(n_steps):
-            state = scheme.step(state, config)
-        return state
+    """Advance n_steps with the compiled propagator.
+
+    The stencil is probed on five cells and folded mod N, so this one path
+    serves every mesh, N >= 1.
+    """
     stepper = StencilStepper(config)
-    packed = stepper.pack_state(state)
+    packed = pack_state(state)
     prev = stepper.propagate(packed, n_steps - 1) if n_steps >= 1 else packed
     packed = stepper.apply(prev) if n_steps >= 1 else packed
-    return stepper.unpack_state(
+    return unpack_state(
         packed,
+        config,
         n=state.n + n_steps,
         t=state.t + n_steps * config.dt,
         g_norm_lag=math.sqrt(stepper.g_norm_sq(prev)),
@@ -305,34 +302,20 @@ def energy_history(config, state, n_steps, stop_factor=None):
     stop_factor * E_0, in which case the history is truncated at the bad step.
     """
     eps_sq = config.eps**2
-    use_stencil = config.mesh.n_cells >= 2 * StencilStepper.REACH + 1
     energies = np.empty(n_steps + 1)
-    if use_stencil:
-        stepper = StencilStepper(config)
-        packed = stepper.pack_state(state)
-        prev_g_sq = stepper.g_norm_sq(packed)
-        energies[0] = stepper.rho_norm_sq(packed) + eps_sq * prev_g_sq
-        limit = stop_factor * energies[0] if stop_factor else None
-        for n in range(1, n_steps + 1):
-            new = stepper.apply(packed)
-            e = stepper.rho_norm_sq(new) + eps_sq * prev_g_sq
-            energies[n] = e
-            if not np.isfinite(e) or (limit is not None and e > limit):
-                return energies[: n + 1], False
-            prev_g_sq = stepper.g_norm_sq(new)
-            packed = new
-        return energies, True
-    prev_g_sq = state.g.triple_norm() ** 2
-    energies[0] = state.rho.norm() ** 2 + eps_sq * prev_g_sq
+    stepper = StencilStepper(config)
+    packed = pack_state(state)
+    prev_g_sq = stepper.g_norm_sq(packed)
+    energies[0] = stepper.rho_norm_sq(packed) + eps_sq * prev_g_sq
     limit = stop_factor * energies[0] if stop_factor else None
     for n in range(1, n_steps + 1):
-        new = scheme.step(state, config)
-        e = new.rho.norm() ** 2 + eps_sq * prev_g_sq
+        new = stepper.apply(packed)
+        e = stepper.rho_norm_sq(new) + eps_sq * prev_g_sq
         energies[n] = e
         if not np.isfinite(e) or (limit is not None and e > limit):
             return energies[: n + 1], False
-        prev_g_sq = new.g.triple_norm() ** 2
-        state = new
+        prev_g_sq = stepper.g_norm_sq(new)
+        packed = new
     return energies, True
 
 

@@ -8,7 +8,6 @@ variable q is stored, not recomputed from a kinetic field, so the scheme is
 self-contained and explicit.
 """
 
-import csv
 from dataclasses import dataclass
 
 from .fields import DGField, project
@@ -40,21 +39,3 @@ def step_limit(state, dt, flux, m2):
     rho_new = state.rho - dt * flux_divergence(state.q, flux)
     q_new = m2 * minus_gradient(rho_new, flux)
     return LimitState(rho=rho_new, q=q_new, n=state.n + 1, t=state.t + dt)
-
-
-def save_limit_state(state, mesh, degree, flux, path):
-    """Checkpoint in the kinetic snapshot format, with eps fixed to zero."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "# n=%d;t=%.17g;eps=0;degree=%d;n_cells=%d;x_min=%.17g;x_max=%.17g;flux=%s\n"
-            % (state.n, state.t, degree, mesh.n_cells, mesh.x_min, mesh.x_max, flux)
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["field", "node", "cell", "x_left", "mode", "coefficient"])
-        edges = mesh.edges()
-        for name, fld in (("rho", state.rho), ("q", state.q)):
-            for i in range(mesh.n_cells):
-                for j in range(degree + 1):
-                    writer.writerow(
-                        [name, -1, i, f"{edges[i]:.17g}", j, f"{fld.coeff[i, j]:.17g}"]
-                    )

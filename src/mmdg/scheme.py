@@ -159,31 +159,13 @@ def energy(state, config):
     return state.rho.norm() ** 2 + config.eps**2 * state.g_norm_lag**2
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    energy: float
-    mean_g: DGField
-    mean_g_norm: float
-
-
-def diagnostics(prev_state, state, config):
-    """Monitor quantities for the consecutive pair (n, n+1).
-
-    The energy pairs the newer density with the older microscopic part,
-    matching the quantity that decays under the stable-step condition.
-    """
-    e = state.rho.norm() ** 2 + config.eps**2 * prev_state.g.triple_norm() ** 2
-    mean_g = state.g.bracket()
-    return Diagnostics(energy=e, mean_g=mean_g, mean_g_norm=mean_g.norm())
-
-
 def save_state(state, config, path):
     """Checkpoint: header with run metadata, then one row per coefficient."""
     with open(path, "w", newline="") as fh:
         fh.write(
             "# n=%d;t=%.17g;eps=%.17g;dt=%.17g;degree=%d;n_cells=%d;"
             "x_min=%.17g;x_max=%.17g;flux=%s;model=%s;nv=%d;include_bh=%d;"
-            "g_norm_lag=%.17g\n"
+            "continuum_moments=%d;g_norm_lag=%.17g\n"
             % (
                 state.n,
                 state.t,
@@ -197,6 +179,7 @@ def save_state(state, config, path):
                 config.space.kind,
                 config.space.n_nodes,
                 int(config.include_bh),
+                int(config.continuum_moments),
                 state.g_norm_lag,
             )
         )
@@ -231,13 +214,17 @@ def load_state(path):
             space=space,
             mesh=mesh,
             include_bh=bool(int(meta["include_bh"])),
+            continuum_moments=bool(int(meta["continuum_moments"])),
         )
         rho = DGField(mesh, config.degree)
         g = KineticField(space, mesh, config.degree)
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        for row in reader:
-            which, q, i, _, j, val = row
+        rows = list(csv.reader(fh))[1:]  # after the column names
+        expected = (1 + space.n_nodes) * mesh.n_cells * (config.degree + 1)
+        if len(rows) != expected:
+            raise ValueError(
+                f"checkpoint {path} holds {len(rows)} coefficient rows, expected {expected}"
+            )
+        for which, q, i, _, j, val in rows:
             if which == "rho":
                 rho.coeff[int(i), int(j)] = float(val)
             else:

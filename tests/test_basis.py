@@ -26,34 +26,6 @@ def test_orthogonality(k):
     assert np.max(np.abs(gram - expected)) < 1e-13
 
 
-def test_eval_examples():
-    basis = LegendreBasis(2)
-    for xi in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        assert basis.eval(0, xi) == 1.0
-    assert basis.eval(1, 1.0) == 1.0
-    assert basis.eval(1, -1.0) == -1.0
-    assert basis.eval(2, 0.0) == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_eval_matches_numpy():
-    basis = LegendreBasis(4)
-    xi = np.linspace(-1, 1, 17)
-    for j in range(5):
-        coeffs = np.zeros(j + 1)
-        coeffs[j] = 1.0
-        assert np.allclose(basis.eval(j, xi), npleg.legval(xi, coeffs), atol=1e-14)
-
-
-def test_eval_contract_violations():
-    basis = LegendreBasis(2)
-    with pytest.raises(ValueError):
-        basis.eval(3, 0.0)
-    with pytest.raises(ValueError):
-        basis.eval(-1, 0.0)
-    with pytest.raises(ValueError):
-        basis.eval(1, 1.5)
-
-
 def test_mass_diagonal_examples():
     assert np.allclose(mass_diagonal(0, 3.0), [3.0])
     assert np.allclose(mass_diagonal(1, 2.0), [2.0, 2.0 / 3.0])

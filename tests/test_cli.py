@@ -41,6 +41,13 @@ def test_unknown_ic_exits_nonzero(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_infinite_tmax_exits_cleanly(capsys):
+    code = main(["solve", "--cells", "16", "--eps", "1", "--tmax", "inf"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "Traceback" not in err
+
+
 def test_converge_smoke(tmp_path):
     out = tmp_path / "conv.csv"
     code = main(

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -19,9 +18,6 @@ from mmdg.fields import (
     l2_error,
     project,
     project_kinetic,
-    trace,
-    write_coefficients,
-    write_samples,
 )
 from mmdg.velocity import TWO_POINT, make_velocity_space
 
@@ -143,10 +139,9 @@ def test_wraparound_jump_single_cell():
     mesh = Mesh1D(0.0, 2.0, 1)
     field = project(lambda x: x, mesh, 1)
     assert jumps(field)[0] == pytest.approx(-2.0, abs=1e-13)
-    assert trace(field, 0, "-") == pytest.approx(2.0, abs=1e-13)
-    assert trace(field, 0, "+") == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        trace(field, 0, "x")
+    minus, plus = interface_traces(field)
+    assert minus[0] == pytest.approx(2.0, abs=1e-13)
+    assert plus[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_norm_examples():
@@ -199,27 +194,6 @@ def test_kinetic_bracket_fields():
     cos_proj = project(np.cos, mesh, 2)
     assert np.max(np.abs(g.bracket().coeff - sin_proj.coeff)) < 1e-13
     assert np.max(np.abs(g.bracket_v().coeff - cos_proj.coeff)) < 1e-13
-
-
-def test_csv_exports(tmp_path):
-    mesh = _mesh(4)
-    field = project(np.sin, mesh, 1)
-    coeff_path = tmp_path / "coeff.csv"
-    write_coefficients(field, coeff_path)
-    with open(coeff_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["cell", "x_left", "mode", "coefficient"]
-    assert len(rows) == 1 + 4 * 2
-    assert float(rows[1][3]) == pytest.approx(field.coeff[0, 0])
-
-    sample_path = tmp_path / "samples.csv"
-    write_samples(field, sample_path, per_cell=3)
-    with open(sample_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "value"]
-    assert len(rows) == 1 + 4 * 3
-    x0, v0 = (float(rows[1][0]), float(rows[1][1]))
-    assert v0 == pytest.approx(field.eval(x0), abs=1e-14)
 
 
 def test_field_arithmetic_and_compat():

@@ -7,7 +7,6 @@ from mmdg import scheme
 from mmdg.harness import (
     IC_REGISTRY,
     ExperimentSpec,
-    StencilStepper,
     build_config,
     energy_history,
     is_stable,
@@ -48,6 +47,12 @@ def test_registry_entries():
         dict(mode="solve", ic="gauss-hermite"),
         dict(mode="solve", dt=-1e-3),
         dict(mode="solve", flux="roe"),
+        dict(mode="solve", dt=math.inf),
+        dict(mode="solve", dt=math.nan),
+        dict(mode="solve", tmax=math.inf),
+        dict(mode="solve", tmax=math.nan),
+        dict(mode="solve", eps=(math.inf,)),
+        dict(mode="solve", eps=(0.1, math.nan)),
     ],
 )
 def test_spec_validation(bad):
@@ -72,10 +77,20 @@ def test_resolve_dt_policies():
     assert dt == 10.0 and overrode
 
 
-@pytest.mark.parametrize("n_steps", [1, 7, 64, 137])
-def test_fixed_steps_match_reference(n_steps):
-    spec = ExperimentSpec(mode="solve", model="slab", nv=6, degree=1, cells=(16,), eps=(0.3,))
-    config = build_config(spec, 16, 0.3, dt=2e-4)
+@pytest.mark.parametrize(
+    "n_steps,n_cells",
+    [
+        pytest.param(s, n, id=str(s) if n == 16 else f"{s}-N{n}")
+        for n in (16, 1, 2, 3, 4)
+        for s in (1, 7, 64, 137)
+    ],
+)
+def test_fixed_steps_match_reference(n_steps, n_cells):
+    # the five-cell stencil folded mod N serves meshes narrower than its reach
+    spec = ExperimentSpec(
+        mode="solve", model="slab", nv=6, degree=1, cells=(n_cells,), eps=(0.3,)
+    )
+    config = build_config(spec, n_cells, 0.3, dt=2e-4)
     ic = IC_REGISTRY["sin"]
     state = scheme.init_state(ic.rho0, ic.g0, config)
     ref = state
@@ -86,25 +101,6 @@ def test_fixed_steps_match_reference(n_steps):
     assert np.max(np.abs(ref.g.coeff - fast.g.coeff)) < 1e-11
     assert fast.n == n_steps
     assert fast.g_norm_lag == pytest.approx(ref.g_norm_lag, abs=1e-11)
-
-
-def test_fixed_steps_small_mesh_fallback():
-    spec = ExperimentSpec(mode="solve", degree=0, cells=(4,), eps=(1.0,))
-    config = build_config(spec, 4, 1.0, dt=1e-3)
-    ic = IC_REGISTRY["sin"]
-    state = scheme.init_state(ic.rho0, ic.g0, config)
-    out = run_fixed_steps(config, state, 5)
-    ref = state
-    for _ in range(5):
-        ref = scheme.step(ref, config)
-    assert np.array_equal(out.rho.coeff, ref.rho.coeff)
-
-
-def test_stencil_requires_five_cells():
-    spec = ExperimentSpec(mode="solve", degree=0, cells=(4,), eps=(1.0,))
-    config = build_config(spec, 4, 1.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        StencilStepper(config)
 
 
 def test_energy_history_matches_scheme_energy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmdg.fields import Mesh1D, l2_error, project, project_kinetic
-from mmdg.limit import init_limit_state, save_limit_state, step_limit
+from mmdg.limit import init_limit_state, step_limit
 from mmdg.operators import ALT_LR, ALT_RL
 from mmdg.scheme import SchemeConfig, stable_dt
 from mmdg.velocity import GAUSS_ORDINATES, TWO_POINT, make_velocity_space
@@ -110,12 +110,3 @@ def test_flux_recovery_rate(k):
         errs.append(l2_error(after.q, lambda x: -np.cos(x)))
     assert math.log2(errs[0] / errs[1]) > k - 0.15
 
-
-def test_save_limit_state(tmp_path):
-    mesh = _mesh(4)
-    state = init_limit_state(np.sin, lambda x: -np.cos(x), mesh, 1)
-    path = tmp_path / "limit.csv"
-    save_limit_state(state, mesh, 1, ALT_LR, path)
-    text = path.read_text()
-    assert text.startswith("# n=0") and "eps=0" in text
-    assert text.count("\n") == 2 + 2 * 4 * 2  # header + columns + rows
