@@ -1,8 +1,10 @@
 """Command-line front end: solve | converge | stability-scan | ap-limit.
 
 Options may also come from a key=value config file (same keys as the long
-flags); values given on the command line win.  Exit code 0 covers completed
-runs including flagged instability demos; bad arguments exit nonzero.
+flags).  File entries are turned into flags and parsed by the same parser,
+ahead of the command line, so they pass the same checks and the command line
+wins.  Exit code 0 covers completed runs including flagged instability demos;
+bad arguments exit nonzero.
 """
 
 import argparse
@@ -13,11 +15,21 @@ from .harness import MODES, ExperimentSpec, run
 _BOOL_KEYS = {"no-bh", "force-dt", "continuum-moments"}
 
 
-def _parse_list(text, cast):
-    items = [s for s in text.replace(" ", "").split(",") if s]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(cast(s) for s in items)
+def _comma_list(cast):
+    """argparse type: a comma-separated, non-empty list of cast values."""
+
+    def parse(text):
+        items = [s for s in text.replace(" ", "").split(",") if s]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(cast(s) for s in items)
+
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+def _dt_or_auto(text):
+    return None if text == "auto" else float(text)
 
 
 def _parse_bool(text):
@@ -45,6 +57,7 @@ def read_config_file(path):
 
 
 def build_parser():
+    """Parser whose dests are ExperimentSpec field names; unset options stay None."""
     parser = argparse.ArgumentParser(
         prog="mmdg",
         description="Kinetic transport solver (micro-macro DG) and experiment drivers",
@@ -52,94 +65,58 @@ def build_parser():
     sub = parser.add_subparsers(dest="mode", required=True, metavar="|".join(MODES))
     for mode in MODES:
         p = sub.add_parser(mode)
-        p.add_argument("--config", default=None, help="key=value file with these options")
-        p.add_argument("--model", choices=("telegraph", "slab"), default=None)
-        p.add_argument("--nv", type=int, default=None, help="velocity nodes (slab, even)")
-        p.add_argument("--k", dest="degree", type=int, choices=range(5), default=None)
-        p.add_argument("--cells", default=None, help="comma list of cell counts")
-        p.add_argument("--eps", default=None, help="comma list of eps values")
-        p.add_argument("--dt", default=None, help="time step, or 'auto'")
-        p.add_argument("--flux", choices=("alt-lr", "alt-rl", "central"), default=None)
-        p.add_argument("--no-bh", action="store_const", const=True, default=None)
-        p.add_argument("--safety", type=float, default=None, help="fraction of dt_stab")
-        p.add_argument("--c0", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--ic", default=None, help="initial condition name")
-        p.add_argument("--out", default=None, help="CSV output path")
+        p.add_argument("--config", help="key=value file with these options")
+        p.add_argument("--model", choices=("telegraph", "slab"))
+        p.add_argument("--nv", type=int, help="velocity nodes (slab, even)")
+        p.add_argument("--k", dest="degree", type=int, choices=range(5))
+        p.add_argument("--cells", type=_comma_list(int), help="comma list of cell counts")
+        p.add_argument("--eps", type=_comma_list(float), help="comma list of eps values")
+        p.add_argument("--dt", type=_dt_or_auto, help="time step, or 'auto'")
+        p.add_argument("--flux", choices=("alt-lr", "alt-rl", "central"))
+        p.add_argument("--no-bh", dest="include_bh", action="store_const", const=False)
+        p.add_argument("--safety", type=float, help="fraction of dt_stab")
+        p.add_argument("--c0", type=float)
+        p.add_argument("--tmax", type=float)
+        p.add_argument("--ic", help="initial condition name")
+        p.add_argument("--out", help="CSV output path")
         p.add_argument(
             "--force-dt",
             action="store_const",
             const=True,
-            default=None,
             help="run the given dt even beyond the stable step (instability demos)",
         )
-        p.add_argument("--continuum-moments", action="store_const", const=True, default=None)
+        p.add_argument("--continuum-moments", action="store_const", const=True)
     return parser
 
 
-def _merge(cli_value, file_values, key, cast):
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        raw = file_values[key]
-        if key in _BOOL_KEYS:
-            return _parse_bool(raw)
-        return cast(raw)
-    return None
-
-
-def build_spec(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - {
-        "model", "nv", "k", "cells", "eps", "dt", "flux", "no-bh", "safety",
-        "c0", "tmax", "ic", "out", "force-dt", "continuum-moments",
-    }
+def _config_flags(parser, mode, path):
+    """The file's entries as flags; keys the parser does not know raise ValueError."""
+    flags = []
+    for key, raw in read_config_file(path).items():
+        if key not in _BOOL_KEYS:
+            flags.append(f"--{key}={raw}")
+        elif _parse_bool(raw):
+            flags.append(f"--{key}")
+    known, extra = parser.parse_known_args([mode] + flags)
+    unknown = [flag[2:].split("=", 1)[0] for flag in extra]
+    if known.config is not None:
+        unknown.append("config")
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(cli_value, key, cast=str):
-        return _merge(cli_value, file_values, key, cast)
-
-    dt_raw = pick(args.dt, "dt")
-    if dt_raw in (None, "auto"):
-        dt = None
-    else:
-        dt = float(dt_raw)
-    kwargs = {}
-    for key, value in (
-        ("model", pick(args.model, "model")),
-        ("nv", pick(args.nv, "nv", int)),
-        ("degree", pick(args.degree, "k", int)),
-        ("cells", pick(args.cells and _parse_list(args.cells, int), "cells",
-                       lambda s: _parse_list(s, int))),
-        ("eps", pick(args.eps and _parse_list(args.eps, float), "eps",
-                     lambda s: _parse_list(s, float))),
-        ("flux", pick(args.flux, "flux")),
-        ("safety", pick(args.safety, "safety", float)),
-        ("c0", pick(args.c0, "c0", float)),
-        ("tmax", pick(args.tmax, "tmax", float)),
-        ("ic", pick(args.ic, "ic")),
-        ("out", pick(args.out, "out")),
-    ):
-        if value is not None:
-            kwargs[key] = value
-    no_bh = pick(args.no_bh, "no-bh")
-    if no_bh is not None:
-        kwargs["include_bh"] = not no_bh
-    force_dt = pick(args.force_dt, "force-dt")
-    if force_dt is not None:
-        kwargs["force_dt"] = force_dt
-    continuum = pick(args.continuum_moments, "continuum-moments")
-    if continuum is not None:
-        kwargs["continuum_moments"] = continuum
-    return ExperimentSpec(mode=args.mode, dt=dt, **kwargs).validate()
+    return flags
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = build_spec(args)
+        if args.config:
+            flags = _config_flags(parser, args.mode, args.config)
+            args = parser.parse_args([args.mode] + flags + argv[1:])
+        values = {key: value for key, value in vars(args).items() if value is not None}
+        values.pop("config", None)
+        spec = ExperimentSpec(**values).validate()
         result = run(spec)
     except (ValueError, OSError) as exc:
         print(f"mmdg: error: {exc}", file=sys.stderr)

@@ -24,6 +24,10 @@ MODES = ("solve", "converge", "stability-scan", "ap-limit")
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
 
+# Periodic domain of every experiment; the sin and bump data and converge's
+# exact heat solution are periodic on it.
+DOMAIN = (0.0, 2.0 * np.pi)
+
 
 @dataclass(frozen=True)
 class InitialCondition:
@@ -106,8 +110,6 @@ class ExperimentSpec:
     out: str = None
     force_dt: bool = False  # run the user dt even beyond the stable step
     continuum_moments: bool = False
-    x_min: float = 0.0
-    x_max: float = 2.0 * np.pi
 
     def validate(self):
         if self.mode not in MODES:
@@ -145,20 +147,23 @@ def build_config(spec, n_cells, eps, dt):
         degree=spec.degree,
         flux=spec.flux,
         space=build_space(spec),
-        mesh=Mesh1D(spec.x_min, spec.x_max, int(n_cells)),
+        mesh=Mesh1D(*DOMAIN, int(n_cells)),
         include_bh=spec.include_bh,
         continuum_moments=spec.continuum_moments,
     )
 
 
-def resolve_dt(spec, config):
-    """Apply the dt policy: auto, clamped user value, or forced override."""
-    theory = scheme.stable_dt(config).dt_stab
+def resolve_dt(spec, config, margin=1.0):
+    """Apply the dt policy: auto, clamped user value, or forced override.
+
+    The bound is safety * margin * dt_stab; returns (dt, dt_override).
+    """
+    bound = spec.safety * margin * scheme.stable_dt(config).dt_stab
     if spec.dt is None:
-        return spec.safety * theory, False
+        return bound, False
     if spec.force_dt:
-        return spec.dt, spec.dt > spec.safety * theory
-    return min(spec.dt, spec.safety * theory), False
+        return spec.dt, spec.dt > bound
+    return min(spec.dt, bound), False
 
 
 def _steps_for(tmax, dt, exact_dt):
@@ -322,15 +327,15 @@ def energy_history(config, state, n_steps, stop_factor=None):
 MIN_PROBE_STEPS = 50
 
 
-def is_stable(config, state, tmax, growth=GROWTH_LIMIT):
-    """Empirical stability probe: energy stays within growth * E_0 up to tmax.
+def is_stable(config, state, tmax):
+    """Empirical stability probe: energy stays within GROWTH_LIMIT * E_0 up to tmax.
 
     Runs at least MIN_PROBE_STEPS steps so that candidate steps larger than
     tmax still get a chance to exhibit growth; since the guaranteed decay
     holds for every n, the extra steps can never flip a provably stable run.
     """
     n_steps = max(MIN_PROBE_STEPS, math.ceil(tmax / config.dt - 1e-12))
-    _, ok = energy_history(config, state, n_steps, stop_factor=growth)
+    _, ok = energy_history(config, state, n_steps, stop_factor=GROWTH_LIMIT)
     return ok
 
 
@@ -413,7 +418,7 @@ def run_solve(spec):
     for _ in range(n_steps):
         new = scheme.step(state, config)
         en = scheme.energy(new, config)
-        if not np.isfinite(en) or en > 1e12 * max(e0, 1e-300):
+        if not np.isfinite(en) or en > GROWTH_LIMIT * e0:
             emit(new, en, status="diverged")
             diverged = True
             diverge_step = new.n
@@ -449,6 +454,8 @@ CONVERGE_COLUMNS = [
 ]
 
 _DIFFUSIVE_EPS = 1e-6  # below this, compare against the exact limit solution
+REF_FACTOR_X = 4  # reference run: this many times the finest cell count
+REF_FACTOR_T = 16  # and the finest dt divided by this
 
 
 def _convergence_dts(spec, eps, cells):
@@ -477,13 +484,13 @@ def _march(spec, n_cells, eps, dt, n_steps):
     return run_fixed_steps(config, state, n_steps), config
 
 
-def run_convergence(spec, ref_factor_x=4, ref_factor_t=16):
+def run_convergence(spec):
     """Error table under mesh refinement, one block per eps value.
 
     In the near-limit regime (eps <= 1e-6, sin data) errors are measured
     against the exact decayed-sine solution of the limiting heat equation;
-    otherwise against a reference run on a ref_factor_x finer mesh with the
-    finest dt / ref_factor_t.
+    otherwise against a reference run on a REF_FACTOR_X finer mesh with the
+    finest dt / REF_FACTOR_T.
     """
     spec.validate()
     cells = sorted(int(n) for n in spec.cells)
@@ -501,8 +508,8 @@ def run_convergence(spec, ref_factor_x=4, ref_factor_t=16):
         use_exact = eps <= _DIFFUSIVE_EPS and spec.ic == "sin"
         ref_state = None
         if not use_exact:
-            n_ref = ref_factor_x * cells[-1]
-            dt_ref = levels[-1][1] / ref_factor_t
+            n_ref = REF_FACTOR_X * cells[-1]
+            dt_ref = levels[-1][1] / REF_FACTOR_T
             n_steps_ref, dt_ref = _steps_for(spec.tmax, dt_ref, exact_dt=False)
             ref_state, _ = _march(spec, n_ref, eps, dt_ref, n_steps_ref)
         prev = None
@@ -548,14 +555,18 @@ def run_convergence(spec, ref_factor_x=4, ref_factor_t=16):
 
 
 SCAN_COLUMNS = ["eps", "n_cells", "dt_stab", "dt_empirical", "ratio", "flag"]
+MAX_DOUBLINGS = 60
 
 
-def run_stability_scan(spec, max_doublings=60):
+def run_stability_scan(spec):
     """Bisect the empirical maximal stable dt for each (eps, N) pair.
 
-    A run counts as stable when the discrete energy never exceeds ten times
-    its starting value up to tmax.  Bisection narrows the boundary to 2%
-    relative width, starting from the provable stable step as the lower end.
+    A run counts as stable when the discrete energy never exceeds
+    GROWTH_LIMIT times its starting value up to tmax.  From the provable
+    stable step as the lower end, the step doubles until a run is unstable;
+    if none is within MAX_DOUBLINGS doublings the row is flagged
+    no-upper-bracket.  Bisection then narrows the boundary to 2% relative
+    width.
     """
     spec.validate()
     ic = IC_REGISTRY[spec.ic]
@@ -584,32 +595,19 @@ def run_stability_scan(spec, max_doublings=60):
                     }
                 )
                 continue
-            hi = lo
-            bracketed = False
-            for _ in range(max_doublings):
-                hi *= 2.0
+            for _ in range(MAX_DOUBLINGS):
+                hi = 2.0 * lo
                 if not probe(hi):
-                    bracketed = True
                     break
                 lo = hi
-            if not bracketed:
-                # one retry with a wider multiplicative sweep, then give up
-                hi = lo
-                for _ in range(max_doublings):
-                    hi *= 8.0
-                    if not probe(hi):
-                        bracketed = True
-                        break
-                    lo = hi
-            if not bracketed:
-                flag = "no-upper-bracket"
             else:
-                while hi - lo > 0.02 * lo:
-                    mid = 0.5 * (lo + hi)
-                    if probe(mid):
-                        lo = mid
-                    else:
-                        hi = mid
+                flag = "no-upper-bracket"
+            while not flag and hi - lo > 0.02 * lo:
+                mid = 0.5 * (lo + hi)
+                if probe(mid):
+                    lo = mid
+                else:
+                    hi = mid
             rows.append(
                 {
                     "eps": eps,
@@ -632,9 +630,9 @@ def run_ap_limit(spec):
     """Run kinetic and limit schemes side by side, one row per eps.
 
     All runs share (N, degree, dt, flux) and well-prepared data; distances
-    are coefficient-space L2 norms on the shared mesh.  The automatic step
-    shrinks the zero-eps stable step by the margin c0, the strict-inequality
-    gap the limit analysis asks for.
+    are coefficient-space L2 norms on the shared mesh.  The step follows
+    solve's dt policy with the zero-eps stable step shrunk by the margin c0,
+    the strict-inequality gap the limit analysis asks for.
     """
     spec.validate()
     if len(spec.cells) != 1:
@@ -643,10 +641,7 @@ def run_ap_limit(spec):
     space = build_space(spec)
     m2 = space.moments().m2
     config0 = build_config(spec, spec.cells[0], 0.0, dt=1.0)
-    if spec.dt is not None:
-        dt = spec.dt
-    else:
-        dt = spec.safety * (1.0 - spec.c0) * scheme.stable_dt(config0).dt_stab
+    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0)
     n_steps = max(1, round(spec.tmax / dt))
     mesh = config0.mesh
     lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), mesh, spec.degree)
@@ -666,8 +661,10 @@ def run_ap_limit(spec):
                 "q_distance": (state.g.bracket_v() - lim.q).norm(),
             }
         )
-    result = RunResult(spec=spec, columns=AP_COLUMNS, rows=rows, extra={"dt": dt})
-    result.write(extra_header=f";dt_used={_fmt(dt)}")
+    result = RunResult(
+        spec=spec, columns=AP_COLUMNS, rows=rows, extra={"dt": dt, "dt_override": overrode}
+    )
+    result.write(extra_header=f";dt_used={_fmt(dt)};dt_override={int(overrode)}")
     return result
 
 

@@ -113,6 +113,7 @@ def test_config_file_merge(tmp_path):
         "eps = 0.5   # overridden on the command line\n"
         "tmax = 0.01\n"
         "ic = sin\n"
+        "no-bh = true\n"
     )
     out = tmp_path / "run.csv"
     code = main(["solve", "--config", str(cfg), "--eps", "0.25", "--out", str(out)])
@@ -120,6 +121,17 @@ def test_config_file_merge(tmp_path):
     header = out.read_text().splitlines()[0]
     assert "eps=0.25" in header  # CLI wins
     assert "degree=1" in header  # file supplies k
+    assert "include_bh=False" in header  # file boolean reaches the spec
+
+
+def test_config_file_rejects_bad_choice(tmp_path, capsys):
+    # file values pass the same checks as flags: --k 7 is not a choice
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("k = 7\ncells = 16\n")
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--config", str(cfg), "--eps", "1", "--tmax", "0.01"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -270,6 +270,27 @@ def test_ap_limit_sweep():
     assert result.extra["dt"] == pytest.approx(expected, rel=1e-14)
 
 
+def test_ap_limit_follows_dt_policy(tmp_path):
+    # a user dt beyond the bound is clamped as in solve; force_dt runs it as given
+    spec = ExperimentSpec(
+        mode="ap-limit", degree=1, cells=(16,), eps=(1e-2, 0.0), tmax=0.02
+    )
+    config = build_config(spec, 16, 0.0, dt=1.0)
+    bound = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
+    spec.dt = 10 * bound
+    result = run_ap_limit(spec)
+    assert result.extra["dt"] == pytest.approx(bound, rel=1e-14)
+    assert not result.extra["dt_override"]
+    assert result.rows[0]["steps"] == round(0.02 / result.extra["dt"])
+    assert result.rows[0]["rho_distance"] < 1e-2
+    spec.force_dt = True
+    spec.out = str(tmp_path / "ap.csv")
+    result = run_ap_limit(spec)
+    assert result.extra["dt"] == 10 * bound and result.extra["dt_override"]
+    assert result.rows[0]["steps"] == max(1, round(0.02 / (10 * bound)))
+    assert "dt_override=1" in (tmp_path / "ap.csv").read_text().splitlines()[0]
+
+
 def test_run_dispatch():
     spec = ExperimentSpec(mode="ap-limit", degree=0, cells=(8,), eps=(0.0,), tmax=0.01)
     result = run(spec)
