@@ -23,6 +23,7 @@ MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 MODES = ("solve", "converge", "stability-scan", "ap-limit")
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
+MAX_STEPS = 10**6  # step budget of solve and ap-limit, which take every step
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -153,14 +154,18 @@ def build_config(spec, n_cells, eps, dt):
     )
 
 
-def resolve_dt(spec, config, margin=1.0):
+def resolve_dt(spec, config, margin=1.0, budget=math.inf):
     """Apply the dt policy: auto, clamped user value, or forced override.
 
-    The bound is safety * margin * dt_stab; returns (dt, dt_override).
+    The bound is safety * margin * dt_stab; returns (dt, dt_override).  Only a
+    user dt below the bound is held to the budget of steps to tmax.
     """
     bound = spec.safety * margin * scheme.stable_dt(config).dt_stab
     if spec.dt is None:
         return bound, False
+    planned = spec.tmax / spec.dt  # a float, so a subnormal dt plans inf steps
+    if spec.dt < bound and not planned <= budget:
+        raise ValueError(f"dt={spec.dt:.6g} plans {planned:.7g} steps, over the budget {budget}")
     if spec.force_dt:
         return spec.dt, spec.dt > bound
     return min(spec.dt, bound), False
@@ -299,6 +304,30 @@ def run_fixed_steps(config, state, n_steps):
     )
 
 
+def _stencil_march(stepper, packed, n_steps, stop_factor=None):
+    """Yield (packed, E_n, ok, rho_sq, g_sq, lag_sq) for n = 0..n_steps of the stencil march.
+
+    rho_sq = ||rho^n||^2, g_sq = |||g^n|||^2 and lag_sq = |||g^{n-1}|||^2
+    (|||g^0|||^2 at n = 0); E_n = rho_sq + eps^2 lag_sq.  The march ends after
+    the first E_n that is non-finite or beyond stop_factor * E_0, yielded with
+    ok False; no stop_factor means no limit.
+    """
+    eps_sq = stepper.config.eps**2
+    rho_sq, g_sq = stepper.rho_norm_sq(packed), stepper.g_norm_sq(packed)
+    e = rho_sq + eps_sq * g_sq
+    limit = stop_factor * e if stop_factor else math.inf
+    yield packed, e, True, rho_sq, g_sq, g_sq
+    for _ in range(n_steps):
+        lag_sq = g_sq
+        packed = stepper.apply(packed)
+        rho_sq, g_sq = stepper.rho_norm_sq(packed), stepper.g_norm_sq(packed)
+        e = rho_sq + eps_sq * lag_sq
+        ok = math.isfinite(e) and e <= limit
+        yield packed, e, ok, rho_sq, g_sq, lag_sq
+        if not ok:
+            return
+
+
 def energy_history(config, state, n_steps, stop_factor=None):
     """Energies E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 for n = 0..n_steps.
 
@@ -306,22 +335,11 @@ def energy_history(config, state, n_steps, stop_factor=None):
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
     """
-    eps_sq = config.eps**2
-    energies = np.empty(n_steps + 1)
-    stepper = StencilStepper(config)
-    packed = pack_state(state)
-    prev_g_sq = stepper.g_norm_sq(packed)
-    energies[0] = stepper.rho_norm_sq(packed) + eps_sq * prev_g_sq
-    limit = stop_factor * energies[0] if stop_factor else None
-    for n in range(1, n_steps + 1):
-        new = stepper.apply(packed)
-        e = stepper.rho_norm_sq(new) + eps_sq * prev_g_sq
-        energies[n] = e
-        if not np.isfinite(e) or (limit is not None and e > limit):
-            return energies[: n + 1], False
-        prev_g_sq = stepper.g_norm_sq(new)
-        packed = new
-    return energies, True
+    march = _stencil_march(StencilStepper(config), pack_state(state), n_steps, stop_factor)
+    energies = []
+    for _, e, ok, *_ in march:
+        energies.append(e)
+    return np.array(energies), ok
 
 
 MIN_PROBE_STEPS = 50
@@ -383,60 +401,45 @@ SOLVE_COLUMNS = ["n", "t", "energy", "rho_norm", "g_norm", "mean_g_norm", "mass"
 
 
 def run_solve(spec):
-    """Time-march a single (N, eps) case, logging monitors every step."""
+    """Time-march a single (N, eps) case on the stencil, logging monitors every step."""
     spec.validate()
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
     ic = IC_REGISTRY[spec.ic]
     config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
-    dt, overrode = resolve_dt(spec, config)
+    dt, overrode = resolve_dt(spec, config, budget=MAX_STEPS)
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     config = scheme.with_dt(config, dt)
     state = scheme.init_state(ic.rho0, ic.g0, config)
 
     rows = []
-    diverged = False
-    diverge_step = None
-    e0 = scheme.energy(state, config)
-
-    def emit(st, en, status="ok"):
-        mean = st.g.bracket()
+    march = _stencil_march(StencilStepper(config), pack_state(state), n_steps, GROWTH_LIMIT)
+    for n, (packed, en, ok, rho_sq, g_sq, lag_sq) in enumerate(march):
+        state = unpack_state(packed, config, n, n * dt, math.sqrt(lag_sq))
         rows.append(
             {
-                "n": st.n,
-                "t": st.t,
+                "n": n,
+                "t": state.t,
                 "energy": en,
-                "rho_norm": st.rho.norm(),
-                "g_norm": st.g.triple_norm(),
-                "mean_g_norm": mean.norm(),
-                "mass": st.rho.integral(),
-                "status": status,
+                "rho_norm": math.sqrt(rho_sq),
+                "g_norm": math.sqrt(g_sq),
+                "mean_g_norm": state.g.bracket().norm(),
+                "mass": state.rho.integral(),
+                "status": "ok" if ok else "diverged",
             }
         )
-
-    emit(state, e0)
-    for _ in range(n_steps):
-        new = scheme.step(state, config)
-        en = scheme.energy(new, config)
-        if not np.isfinite(en) or en > GROWTH_LIMIT * e0:
-            emit(new, en, status="diverged")
-            diverged = True
-            diverge_step = new.n
-            state = new
-            break
-        emit(new, en)
-        state = new
 
     result = RunResult(
         spec=spec,
         columns=SOLVE_COLUMNS,
         rows=rows,
-        diverged=diverged,
-        diverge_step=diverge_step,
+        diverged=not ok,
+        diverge_step=None if ok else n,
         final_state=state,
-        extra={"dt": config.dt, "dt_override": overrode},
+        extra={"dt": dt, "dt_override": overrode},
     )
-    result.write(extra_header=f";dt_used={_fmt(config.dt)};dt_override={int(overrode)}")
+    header = f";dt_used={_fmt(dt)};dt_override={int(overrode)};growth_limit={_fmt(GROWTH_LIMIT)}"
+    result.write(extra_header=header)
     if spec.out:
         scheme.save_state(state, config, spec.out + ".state.csv")
     return result
@@ -581,27 +584,17 @@ def run_stability_scan(spec):
                 state = scheme.init_state(ic.rho0, ic.g0, cfg)
                 return is_stable(cfg, state, spec.tmax)
 
-            flag = ""
-            lo = theory
+            lo, flag = theory, ""
             if not probe(lo):
-                rows.append(
-                    {
-                        "eps": eps,
-                        "n_cells": n_cells,
-                        "dt_stab": theory,
-                        "dt_empirical": float("nan"),
-                        "ratio": float("nan"),
-                        "flag": "unstable-at-theory",
-                    }
-                )
-                continue
-            for _ in range(MAX_DOUBLINGS):
-                hi = 2.0 * lo
-                if not probe(hi):
-                    break
-                lo = hi
+                lo, flag = float("nan"), "unstable-at-theory"
             else:
-                flag = "no-upper-bracket"
+                for _ in range(MAX_DOUBLINGS):
+                    hi = 2.0 * lo
+                    if not probe(hi):
+                        break
+                    lo = hi
+                else:
+                    flag = "no-upper-bracket"
             while not flag and hi - lo > 0.02 * lo:
                 mid = 0.5 * (lo + hi)
                 if probe(mid):
@@ -619,7 +612,7 @@ def run_stability_scan(spec):
                 }
             )
     result = RunResult(spec=spec, columns=SCAN_COLUMNS, rows=rows)
-    result.write()
+    result.write(extra_header=f";growth_limit={_fmt(GROWTH_LIMIT)}")
     return result
 
 
@@ -631,8 +624,9 @@ def run_ap_limit(spec):
 
     All runs share (N, degree, dt, flux) and well-prepared data; distances
     are coefficient-space L2 norms on the shared mesh.  The step follows
-    solve's dt policy with the zero-eps stable step shrunk by the margin c0,
-    the strict-inequality gap the limit analysis asks for.
+    solve's dt policy, landing on tmax, with the zero-eps stable step shrunk
+    by the margin c0, the strict-inequality gap the limit analysis asks for.
+    Kinetic runs take scheme.step, so eps = 0 matches the limit bit for bit.
     """
     spec.validate()
     if len(spec.cells) != 1:
@@ -641,8 +635,8 @@ def run_ap_limit(spec):
     space = build_space(spec)
     m2 = space.moments().m2
     config0 = build_config(spec, spec.cells[0], 0.0, dt=1.0)
-    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0)
-    n_steps = max(1, round(spec.tmax / dt))
+    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0, budget=MAX_STEPS)
+    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     mesh = config0.mesh
     lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), mesh, spec.degree)
     for _ in range(n_steps):

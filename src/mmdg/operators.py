@@ -111,13 +111,12 @@ def upwind_streaming(g):
     return KineticField(g.space, g.mesh, g.degree, form / md)
 
 
-def streaming_fluctuation(g, space=None):
+def streaming_fluctuation(g):
     """Mean-free part of the upwind streaming residual.
 
     Subtracts the velocity average coefficient-wise, so the bracket of the
     result vanishes identically.
     """
-    space = space if space is not None else g.space
     streamed = upwind_streaming(g)
-    mean = space.bracket(streamed.coeff)
+    mean = g.space.bracket(streamed.coeff)
     return KineticField(g.space, g.mesh, g.degree, streamed.coeff - mean[None])

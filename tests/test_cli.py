@@ -32,6 +32,7 @@ def test_solve_roundtrip(tmp_path, capsys):
     assert out.exists()
     header = out.read_text().splitlines()[0]
     assert "mode=solve" in header and "eps=0.5" in header
+    assert header.endswith(";growth_limit=10")
     assert str(out) in capsys.readouterr().out
 
 
@@ -46,6 +47,18 @@ def test_infinite_tmax_exits_cleanly(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "mmdg: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt, planned", [("1e-300", "1e+300"), ("1e-310", "inf")])
+@pytest.mark.parametrize("mode", ["solve", "ap-limit"])
+def test_step_budget_exits_cleanly(mode, dt, planned, capsys):
+    # a tiny user dt passes the clamp; the planned step count is refused up
+    # front, also when a subnormal dt overflows it to inf
+    code = main([mode, "--k", "0", "--cells", "8", "--eps", "0", "--dt", dt, "--tmax", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and f"plans {planned} steps" in err
+    assert "Traceback" not in err
 
 
 def test_converge_smoke(tmp_path):
@@ -75,6 +88,8 @@ def test_ap_limit_and_scan_smoke(tmp_path):
         ["stability-scan", "--k", "0", "--cells", "16", "--eps", "1e-2", "--tmax", "0.5",
          "--out", str(tmp_path / "scan.csv")]
     ) == 0
+    header = (tmp_path / "scan.csv").read_text().splitlines()[0]
+    assert header.endswith(";growth_limit=10")
 
 
 def test_no_bh_and_slab_flags(tmp_path):

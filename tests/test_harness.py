@@ -5,8 +5,11 @@ import pytest
 
 from mmdg import scheme
 from mmdg.harness import (
+    GROWTH_LIMIT,
     IC_REGISTRY,
+    MAX_STEPS,
     ExperimentSpec,
+    _steps_for,
     build_config,
     energy_history,
     is_stable,
@@ -75,6 +78,27 @@ def test_resolve_dt_policies():
     spec.force_dt = True
     dt, overrode = resolve_dt(spec, config)
     assert dt == 10.0 and overrode
+
+
+def test_step_budget_refuses_only_a_small_user_dt():
+    # the budget applies to a user dt below the bound, never to the step
+    # the policy picks itself, however many steps that plans
+    spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1.0,))
+    config = build_config(spec, 16, 1.0, dt=1.0)
+    bound = 0.9 * scheme.stable_dt(config).dt_stab
+    spec.tmax = 10 * MAX_STEPS * bound
+    dt, _ = resolve_dt(spec, config, budget=MAX_STEPS)
+    assert dt == bound
+    assert _steps_for(spec.tmax, dt, exact_dt=False)[0] > MAX_STEPS
+    spec.dt = 10 * bound  # clamped to the bound: the policy's plan again
+    assert resolve_dt(spec, config, budget=MAX_STEPS) == (bound, False)
+    spec.dt = bound / 2
+    with pytest.raises(ValueError, match="over the budget 1000000"):
+        resolve_dt(spec, config, budget=MAX_STEPS)
+    # a subnormal dt overflows the planned count to inf and is refused too
+    spec.tmax, spec.dt = 1.0, 1e-310
+    with pytest.raises(ValueError, match="plans inf steps"):
+        resolve_dt(spec, config, budget=MAX_STEPS)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +175,30 @@ def test_solve_well_prepared_monitors():
     assert all(r["status"] == "ok" for r in result.rows)
 
 
+def _reference_solve(spec, config, n_steps):
+    # literal scheme.step march with solve's monitors and divergence test
+    ic = IC_REGISTRY[spec.ic]
+    state = scheme.init_state(ic.rho0, ic.g0, config)
+    e0 = scheme.energy(state, config)
+    rows = []
+    for n in range(n_steps + 1):
+        if n:
+            state = scheme.step(state, config)
+        en = scheme.energy(state, config)
+        rows.append(
+            {
+                "energy": en,
+                "rho_norm": state.rho.norm(),
+                "g_norm": state.g.triple_norm(),
+                "mean_g_norm": state.g.bracket().norm(),
+                "mass": state.rho.integral(),
+            }
+        )
+        if not np.isfinite(en) or en > GROWTH_LIMIT * e0:
+            return rows, state, n
+    return rows, state, None
+
+
 def test_solve_flags_divergence():
     spec = ExperimentSpec(
         mode="solve", degree=0, cells=(32,), eps=(1e-6,), tmax=25.0, ic="sin",
@@ -161,6 +209,40 @@ def test_solve_flags_divergence():
     assert result.rows[-1]["status"] == "diverged"
     assert result.diverge_step == result.rows[-1]["n"]
     assert result.rows[-1]["t"] < 25.0  # aborted before reaching tmax
+    # roundoff seeds the growth, so the stencil rows differ from a literal
+    # scheme.step march; the step that crosses the limit is the same
+    config = build_config(spec, 32, 1e-6, 0.5)
+    _, _, ref_diverge = _reference_solve(spec, config, math.ceil(25.0 / 0.5))
+    assert result.diverge_step == ref_diverge
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(model="telegraph", degree=1, cells=(16,), eps=(1e-6,), tmax=0.2),
+        dict(model="slab", nv=6, degree=2, cells=(3,), eps=(0.3,), tmax=0.2, ic="bump"),
+        dict(model="telegraph", degree=1, cells=(16,), eps=(0.0,), tmax=0.2),
+    ],
+    ids=["telegraph-eps1e-6", "slab-k2-N3", "eps0"],
+)
+def test_solve_matches_reference(case):
+    # the stencil march of solve reproduces a literal scheme.step loop row by row
+    spec = ExperimentSpec(mode="solve", **case)
+    result = run_solve(spec)
+    config = build_config(spec, spec.cells[0], spec.eps[0], result.extra["dt"])
+    ref_rows, ref_state, ref_diverge = _reference_solve(spec, config, result.rows[-1]["n"])
+    assert len(result.rows) == len(ref_rows)
+    for row, ref in zip(result.rows, ref_rows):
+        for key in ("energy", "rho_norm", "g_norm"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0), key
+        # sin data carry zero mass and zero mean g, up to roundoff
+        assert row["mass"] == pytest.approx(ref["mass"], rel=1e-12, abs=1e-14)
+        assert row["mean_g_norm"] == pytest.approx(ref["mean_g_norm"], abs=1e-12)
+    final = result.final_state
+    assert np.max(np.abs(final.rho.coeff - ref_state.rho.coeff)) < 1e-11
+    assert np.max(np.abs(final.g.coeff - ref_state.g.coeff)) < 1e-11
+    assert final.g_norm_lag == pytest.approx(ref_state.g_norm_lag, abs=1e-11)
+    assert not result.diverged and ref_diverge is None
 
 
 def test_solve_requires_single_case():
@@ -239,6 +321,22 @@ def test_stability_scan_rows(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "stable, flag, empirical",
+    [(False, "unstable-at-theory", math.nan), (True, "no-upper-bracket", 2.0**60)],
+    ids=["unstable-at-theory", "no-upper-bracket"],
+)
+def test_stability_scan_flags(monkeypatch, stable, flag, empirical):
+    # a probe that fails at the provable step, or never fails, ends the scan
+    # for that row with its flag and no bisection
+    monkeypatch.setattr("mmdg.harness.is_stable", lambda config, state, tmax: stable)
+    spec = ExperimentSpec(mode="stability-scan", degree=0, cells=(8,), eps=(1.0,))
+    (row,) = run_stability_scan(spec).rows
+    assert row["flag"] == flag
+    assert row["ratio"] == pytest.approx(empirical, nan_ok=True)
+    assert row["dt_empirical"] == pytest.approx(empirical * row["dt_stab"], nan_ok=True)
+
+
 def test_no_bh_empirical_boundary_scales_like_h():
     # without the mean-free streaming term (telegraph, k=0, eps=1) the
     # measured blow-up boundary sits near the transport limit dt ~ h, far
@@ -264,10 +362,14 @@ def test_ap_limit_sweep():
     assert dists[0] == 0.0
     assert dists[1] > dists[2]
     assert result.rows[0]["q_distance"] == 0.0
-    # automatic step applies both the safety factor and the c0 margin
+    # automatic step applies both the safety factor and the c0 margin, then
+    # shrinks to land on tmax
     config = build_config(spec, 16, 0.0, dt=1.0)
-    expected = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
-    assert result.extra["dt"] == pytest.approx(expected, rel=1e-14)
+    bound = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
+    steps, dt = result.rows[0]["steps"], result.extra["dt"]
+    assert dt <= bound
+    assert steps == math.ceil(0.02 / bound)
+    assert steps * dt == pytest.approx(0.02, rel=1e-12)
 
 
 def test_ap_limit_follows_dt_policy(tmp_path):
@@ -279,15 +381,16 @@ def test_ap_limit_follows_dt_policy(tmp_path):
     bound = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
     spec.dt = 10 * bound
     result = run_ap_limit(spec)
-    assert result.extra["dt"] == pytest.approx(bound, rel=1e-14)
+    assert result.extra["dt"] <= bound
     assert not result.extra["dt_override"]
-    assert result.rows[0]["steps"] == round(0.02 / result.extra["dt"])
+    assert result.rows[0]["steps"] == math.ceil(0.02 / bound)
+    assert result.rows[0]["steps"] * result.extra["dt"] == pytest.approx(0.02, rel=1e-12)
     assert result.rows[0]["rho_distance"] < 1e-2
     spec.force_dt = True
     spec.out = str(tmp_path / "ap.csv")
     result = run_ap_limit(spec)
     assert result.extra["dt"] == 10 * bound and result.extra["dt_override"]
-    assert result.rows[0]["steps"] == max(1, round(0.02 / (10 * bound)))
+    assert result.rows[0]["steps"] == max(1, math.ceil(0.02 / (10 * bound)))
     assert "dt_override=1" in (tmp_path / "ap.csv").read_text().splitlines()[0]
 
 
