@@ -10,7 +10,8 @@ bad arguments exit nonzero.
 import argparse
 import sys
 
-from .harness import MODES, ExperimentSpec, run
+from .harness import MODELS, MODES, ExperimentSpec, run
+from .operators import FLUXES
 
 _BOOL_KEYS = {"no-bh", "force-dt", "continuum-moments"}
 
@@ -66,13 +67,13 @@ def build_parser():
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="key=value file with these options")
-        p.add_argument("--model", choices=("telegraph", "slab"))
+        p.add_argument("--model", choices=MODELS)
         p.add_argument("--nv", type=int, help="velocity nodes (slab, even)")
         p.add_argument("--k", dest="degree", type=int, choices=range(5))
         p.add_argument("--cells", type=_comma_list(int), help="comma list of cell counts")
         p.add_argument("--eps", type=_comma_list(float), help="comma list of eps values")
         p.add_argument("--dt", type=_dt_or_auto, help="time step, or 'auto'")
-        p.add_argument("--flux", choices=("alt-lr", "alt-rl", "central"))
+        p.add_argument("--flux", choices=FLUXES)
         p.add_argument("--no-bh", dest="include_bh", action="store_const", const=False)
         p.add_argument("--safety", type=float, help="fraction of dt_stab")
         p.add_argument("--c0", type=float)

@@ -67,9 +67,6 @@ class DGField:
         if self.coeff.shape != (mesh.n_cells, degree + 1):
             raise ValueError(f"coefficient shape {self.coeff.shape} does not match mesh")
 
-    def copy(self):
-        return DGField(self.mesh, self.degree, self.coeff.copy())
-
     def eval(self, x, side="+"):
         """Point values, periodic fold into [x_min, x_max); any input shape.
 
@@ -121,9 +118,6 @@ class DGField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return DGField(self.mesh, self.degree, -self.coeff)
-
 
 class KineticField:
     """One DGField per velocity node, sharing mesh and degree."""
@@ -138,9 +132,6 @@ class KineticField:
         expected = (space.n_nodes, mesh.n_cells, degree + 1)
         if self.coeff.shape != expected:
             raise ValueError(f"coefficient shape {self.coeff.shape}, expected {expected}")
-
-    def copy(self):
-        return KineticField(self.space, self.mesh, self.degree, self.coeff.copy())
 
     def node(self, q):
         """Per-node field (shares storage with this object)."""
@@ -221,13 +212,14 @@ def project_kinetic(g, mesh, degree, space, mode=L2):
 def interface_traces(field):
     """One-sided values at every interface i-1/2, i = 0..N-1 (periodic).
 
-    Returns (minus, plus): minus[i] is the left-cell value, plus[i] the
-    right-cell value at interface i-1/2.
+    Returns (minus, plus): minus[..., i] is the left-cell value, plus[..., i]
+    the right-cell value at interface i-1/2.  A KineticField gives one row
+    of traces per velocity node.
     """
     basis = legendre_basis(field.degree)
     right_of_cell = field.coeff @ basis.at_right
     left_of_cell = field.coeff @ basis.at_left
-    return np.roll(right_of_cell, 1), left_of_cell
+    return np.roll(right_of_cell, 1, axis=-1), left_of_cell
 
 
 def jumps(field):
@@ -270,9 +262,4 @@ def l2_distance(coarse, fine, n_points=None):
         raise ValueError("meshes do not nest")
     if n_points is None:
         n_points = max(coarse.degree, fine.degree) + 3
-    x, nodes, weights = fine.mesh.quad_points(n_points)
-    vand = legendre_basis(fine.degree).vandermonde(nodes)
-    fine_vals = fine.coeff @ vand.T
-    coarse_vals = coarse.eval(x.ravel()).reshape(x.shape)
-    diff = coarse_vals - fine_vals
-    return float(np.sqrt(0.5 * fine.mesh.h * np.einsum("ip,p->", diff**2, weights)))
+    return l2_error(fine, coarse.eval, n_points)

@@ -172,7 +172,12 @@ def resolve_dt(spec, config, margin=1.0, budget=math.inf):
 
 
 def _steps_for(tmax, dt, exact_dt):
-    """Step count covering tmax; without exact_dt the step shrinks to land on T."""
+    """Step count covering tmax; without exact_dt the step shrinks to land on T.
+
+    A step that underflowed to zero or makes tmax / dt overflow is refused.
+    """
+    if not (dt > 0 and math.isfinite(tmax / dt)):
+        raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}")
     n = max(1, math.ceil(tmax / dt - 1e-12))
     return (n, dt) if exact_dt else (n, tmax / n)
 
@@ -484,7 +489,7 @@ def _march(spec, n_cells, eps, dt, n_steps):
     ic = IC_REGISTRY[spec.ic]
     config = build_config(spec, n_cells, eps, dt)
     state = scheme.init_state(ic.rho0, ic.g0, config)
-    return run_fixed_steps(config, state, n_steps), config
+    return run_fixed_steps(config, state, n_steps)
 
 
 def run_convergence(spec):
@@ -502,37 +507,29 @@ def run_convergence(spec):
     for a, b in zip(cells, cells[1:]):
         if b != 2 * a:
             raise ValueError("cell counts must double between levels")
-    ic = IC_REGISTRY[spec.ic]
     space = build_space(spec)
     m2 = space.moments().m2
     rows = []
     for eps in spec.eps:
         levels = _convergence_dts(spec, eps, cells)
-        use_exact = eps <= _DIFFUSIVE_EPS and spec.ic == "sin"
-        ref_state = None
-        if not use_exact:
+        if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
+            decay = math.exp(-m2 * spec.tmax)
+            distance = l2_error
+            targets = [lambda x: decay * np.sin(x)]
+            targets += [lambda x, v=v: -v * decay * np.cos(x) for v in space.nodes]
+        else:
             n_ref = REF_FACTOR_X * cells[-1]
             dt_ref = levels[-1][1] / REF_FACTOR_T
             n_steps_ref, dt_ref = _steps_for(spec.tmax, dt_ref, exact_dt=False)
-            ref_state, _ = _march(spec, n_ref, eps, dt_ref, n_steps_ref)
+            ref = _march(spec, n_ref, eps, dt_ref, n_steps_ref)
+            distance = l2_distance
+            targets = [ref.rho] + [ref.g.node(q) for q in range(space.n_nodes)]
         prev = None
         for n, dt, n_steps in levels:
-            final, config = _march(spec, n, eps, dt, n_steps)
-            if use_exact:
-                decay = math.exp(-m2 * spec.tmax)
-                err_rho = l2_error(final.rho, lambda x: decay * np.sin(x))
-                g_err_sq = 0.0
-                for q, v in enumerate(space.nodes):
-                    e = l2_error(final.g.node(q), lambda x, v=v: -v * decay * np.cos(x))
-                    g_err_sq += space.weights[q] * e * e
-                err_g = eps * math.sqrt(g_err_sq)
-            else:
-                err_rho = l2_distance(final.rho, ref_state.rho)
-                g_err_sq = 0.0
-                for q in range(space.n_nodes):
-                    e = l2_distance(final.g.node(q), ref_state.g.node(q))
-                    g_err_sq += space.weights[q] * e * e
-                err_g = eps * math.sqrt(g_err_sq)
+            final = _march(spec, n, eps, dt, n_steps)
+            computed = [final.rho] + [final.g.node(q) for q in range(space.n_nodes)]
+            err_rho, *err_nodes = [distance(f, t) for f, t in zip(computed, targets)]
+            err_g = eps * math.sqrt(sum(w * e * e for w, e in zip(space.weights, err_nodes)))
             row = {
                 "eps": eps,
                 "n_cells": n,

@@ -55,6 +55,17 @@ def _pick_side(minus, plus, side):
     return 0.5 * (minus + plus)
 
 
+def _weak_form(vol, uhat, degree, h):
+    """Mass-inverted -int u phi_x - u_hat [phi] for every test mode phi.
+
+    vol holds int u phi_x (cells on axis -2), uhat the interface values
+    (interfaces on the last axis).
+    """
+    at_left = legendre_basis(degree).at_left
+    form = -vol - uhat[..., None] * at_left + np.roll(uhat, -1, axis=-1)[..., None]
+    return form / mass_diagonal(degree, h)
+
+
 def flux_divergence(u, flux):
     """Residual of d/dx u with the chosen interface value for u.
 
@@ -62,12 +73,9 @@ def flux_divergence(u, flux):
     -sum_i int u phi_x - sum_i u_hat [phi] for every test mode phi.
     """
     check_flux(flux)
-    basis = legendre_basis(u.degree)
-    minus, plus = interface_traces(u)
-    fhat = _pick_side(minus, plus, _MOMENT_SIDE[flux])
+    fhat = _pick_side(*interface_traces(u), _MOMENT_SIDE[flux])
     vol = u.coeff @ _grad_matrix(u.degree).T
-    form = -vol - np.outer(fhat, basis.at_left) + np.roll(fhat, -1)[:, None]
-    return DGField(u.mesh, u.degree, form / mass_diagonal(u.degree, u.mesh.h))
+    return DGField(u.mesh, u.degree, _weak_form(vol, fhat, u.degree, u.mesh.h))
 
 
 def moment_flux_divergence(g, flux):
@@ -78,15 +86,13 @@ def moment_flux_divergence(g, flux):
 def minus_gradient(rho, flux):
     """Residual of -d/dx rho with the paired density interface value.
 
-    Returns D with (D, psi) = sum_i int rho psi_x + sum_i rho_hat [psi].
+    Returns D with (D, psi) = sum_i int rho psi_x + sum_i rho_hat [psi]: the
+    weak form of -rho, whose negated inputs keep the sign of every zero.
     """
     check_flux(flux)
-    basis = legendre_basis(rho.degree)
-    minus, plus = interface_traces(rho)
-    rhat = _pick_side(minus, plus, _DENSITY_SIDE[flux])
+    rhat = _pick_side(*interface_traces(rho), _DENSITY_SIDE[flux])
     vol = rho.coeff @ _grad_matrix(rho.degree).T
-    form = vol + np.outer(rhat, basis.at_left) - np.roll(rhat, -1)[:, None]
-    return DGField(rho.mesh, rho.degree, form / mass_diagonal(rho.degree, rho.mesh.h))
+    return DGField(rho.mesh, rho.degree, _weak_form(-vol, -rhat, rho.degree, rho.mesh.h))
 
 
 def upwind_streaming(g):
@@ -94,21 +100,11 @@ def upwind_streaming(g):
 
     The interface value is the upwind trace, v{g} - (|v|/2)[g].
     """
-    basis = legendre_basis(g.degree)
-    v = g.space.nodes
-    right_of_cell = g.coeff @ basis.at_right
-    left_of_cell = g.coeff @ basis.at_left
-    minus = np.roll(right_of_cell, 1, axis=1)
-    plus = left_of_cell
-    tilde = v[:, None] * 0.5 * (minus + plus) - 0.5 * np.abs(v)[:, None] * (plus - minus)
-    vol = v[:, None, None] * (g.coeff @ _grad_matrix(g.degree).T)
-    form = (
-        -vol
-        - tilde[:, :, None] * basis.at_left[None, None, :]
-        + np.roll(tilde, -1, axis=1)[:, :, None]
-    )
-    md = mass_diagonal(g.degree, g.mesh.h)
-    return KineticField(g.space, g.mesh, g.degree, form / md)
+    v = g.space.nodes[:, None]
+    minus, plus = interface_traces(g)
+    tilde = v * 0.5 * (minus + plus) - 0.5 * np.abs(v) * (plus - minus)
+    vol = v[:, None] * (g.coeff @ _grad_matrix(g.degree).T)
+    return KineticField(g.space, g.mesh, g.degree, _weak_form(vol, tilde, g.degree, g.mesh.h))
 
 
 def streaming_fluctuation(g):

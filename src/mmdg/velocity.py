@@ -49,26 +49,20 @@ class VelocitySpace:
         Summation folds mirror-image node pairs first, so averages of odd
         functions of v cancel exactly instead of leaving roundoff residue.
         """
-        values = self._checked(values, axis)
-        half = self.n_nodes // 2
-        folded = values[half:] + values[half - 1 :: -1]
-        return np.tensordot(self.weights[half:], folded, axes=(0, 0))
+        return self._fold(self.weights, np.add, values, axis)
 
     def bracket_v(self, values, axis=0):
         """First moment sum_q w_q v_q values_q, exact for even integrands."""
-        values = self._checked(values, axis)
-        half = self.n_nodes // 2
-        folded = values[half:] - values[half - 1 :: -1]
-        wv = (self.weights * self.nodes)[half:]
-        return np.tensordot(wv, folded, axes=(0, 0))
+        return self._fold(self.weights * self.nodes, np.subtract, values, axis)
 
-    def _checked(self, values, axis):
+    def _fold(self, weights, combine, values, axis):
         values = np.asarray(values)
         if values.shape[axis] != self.n_nodes:
-            raise ValueError(
-                f"expected {self.n_nodes} velocity entries, got {values.shape[axis]}"
-            )
-        return np.moveaxis(values, axis, 0)
+            raise ValueError(f"expected {self.n_nodes} velocity entries, got {values.shape[axis]}")
+        values = np.moveaxis(values, axis, 0)
+        half = self.n_nodes // 2
+        folded = combine(values[half:], values[half - 1 :: -1])
+        return np.tensordot(weights[half:], folded, axes=(0, 0))
 
     def moments(self):
         v = self.nodes

@@ -61,6 +61,17 @@ def test_step_budget_exits_cleanly(mode, dt, planned, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["solve", "ap-limit", "converge"])
+def test_underflowing_step_exits_cleanly(mode, capsys):
+    # the safety factor scales the stable step to a subnormal float or zero
+    cells = "8,16,32" if mode == "converge" else "8"
+    code = main([mode, "--cells", cells, "--safety", "1e-320", "--tmax", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "too small to step" in err
+    assert "Traceback" not in err
+
+
 def test_converge_smoke(tmp_path):
     out = tmp_path / "conv.csv"
     code = main(

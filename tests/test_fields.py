@@ -6,6 +6,7 @@ import pytest
 from mmdg.basis import legendre_basis
 from mmdg.fields import (
     DGField,
+    KineticField,
     L2,
     Mesh1D,
     RADAU_MINUS,
@@ -19,7 +20,7 @@ from mmdg.fields import (
     project,
     project_kinetic,
 )
-from mmdg.velocity import TWO_POINT, make_velocity_space
+from mmdg.velocity import GAUSS_ORDINATES, TWO_POINT, make_velocity_space
 
 MODES = (L2, RADAU_MINUS, RADAU_PLUS)
 
@@ -142,6 +143,18 @@ def test_wraparound_jump_single_cell():
     minus, plus = interface_traces(field)
     assert minus[0] == pytest.approx(2.0, abs=1e-13)
     assert plus[0] == pytest.approx(0.0, abs=1e-13)
+
+
+def test_kinetic_traces_are_per_node():
+    # the periodic roll runs along cells only, never across velocity nodes
+    rng = np.random.default_rng(4)
+    space = make_velocity_space(GAUSS_ORDINATES, 6)
+    g = KineticField(space, _mesh(7), 2, rng.standard_normal((6, 7, 3)))
+    minus, plus = interface_traces(g)
+    for q in range(space.n_nodes):
+        node_minus, node_plus = interface_traces(g.node(q))
+        assert np.array_equal(minus[q], node_minus)
+        assert np.array_equal(plus[q], node_plus)
 
 
 def test_norm_examples():
