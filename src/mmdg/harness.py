@@ -157,18 +157,23 @@ def build_config(spec, n_cells, eps, dt):
 def resolve_dt(spec, config, margin=1.0, budget=math.inf):
     """Apply the dt policy: auto, clamped user value, or forced override.
 
-    The bound is safety * margin * dt_stab; returns (dt, dt_override).  Only a
-    user dt below the bound is held to the budget of steps to tmax.
+    The bound is safety * margin * dt_stab; returns (dt, dt_override).  A dt
+    below the default policy's step, the bound at the default safety, is held
+    to the budget of steps to tmax; that step itself is never refused.
     """
-    bound = spec.safety * margin * scheme.stable_dt(config).dt_stab
-    if spec.dt is None:
-        return bound, False
-    planned = spec.tmax / spec.dt  # a float, so a subnormal dt plans inf steps
-    if spec.dt < bound and not planned <= budget:
-        raise ValueError(f"dt={spec.dt:.6g} plans {planned:.7g} steps, over the budget {budget}")
-    if spec.force_dt:
-        return spec.dt, spec.dt > bound
-    return min(spec.dt, bound), False
+    dt_stab = scheme.stable_dt(config).dt_stab
+    bound = spec.safety * margin * dt_stab
+    if spec.dt is None or (spec.dt > bound and not spec.force_dt):
+        dt, overrode = bound, False
+    else:
+        dt, overrode = spec.dt, spec.dt > bound
+    planned = spec.tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
+    if dt < ExperimentSpec.safety * margin * dt_stab and not planned <= budget:
+        raise ValueError(
+            f"dt={dt:.6g} is too small to step to tmax={spec.tmax:.6g}: "
+            f"it plans {planned:.7g} steps, over the budget {budget}"
+        )
+    return dt, overrode
 
 
 def _steps_for(tmax, dt, exact_dt):
@@ -209,7 +214,10 @@ class StencilStepper:
     this a pure acceleration of the reference stepper.  The step is
     translation-invariant on the uniform periodic mesh, so the blocks depend
     only on h: they are probed on five cells of the same width, and folding
-    the offsets mod N makes them exact for every N >= 1.
+    the offsets mod N makes them exact for every N >= 1.  apply gathers each
+    cell's five neighbors (offsets folded mod N) into one (n_cells, 5 block)
+    array and multiplies it by the five transposed blocks stacked into one
+    (5 block, block) matrix.
     """
 
     REACH = 2
@@ -231,13 +239,13 @@ class StencilStepper:
             for off in range(width):
                 blocks[off][:, b] = out[off]
         self._mblocks = blocks
-        self._blocks = [m.T.copy() for m in blocks]
+        # row i of the gather holds cells i + REACH - j, the source of block j
+        n = mesh.n_cells
+        self._gather = (np.arange(n)[:, None] + self.REACH - np.arange(width)) % n
+        self._stacked = np.concatenate([m.T for m in blocks])
 
     def apply(self, packed):
-        out = np.roll(packed, -self.REACH, axis=0) @ self._blocks[0]
-        for off in range(-self.REACH + 1, self.REACH + 1):
-            out += np.roll(packed, off, axis=0) @ self._blocks[off + self.REACH]
-        return out
+        return packed[self._gather].reshape(len(packed), -1) @ self._stacked
 
     def _symbol(self):
         # Fourier symbol of the circulant step map, one block per frequency
@@ -267,15 +275,18 @@ class StencilStepper:
         out = np.einsum("fab,fb->fa", power, spectrum)
         return np.fft.irfft(out, n=self.config.mesh.n_cells, axis=0)
 
+    def g_nodes(self, packed):
+        """The g part of a packed state, or of a stack of them, as (..., n_cells, nv, k + 1)."""
+        return packed[..., self._k1 :].reshape(*packed.shape[:-1], -1, self._k1)
+
     def rho_norm_sq(self, packed):
-        return float(np.einsum("ij,j->", packed[:, : self._k1] ** 2, self._mass))
+        """||rho||^2 of a packed state, or one per state of a stack."""
+        return np.einsum("...ij,j->...", packed[..., : self._k1] ** 2, self._mass)
 
     def g_norm_sq(self, packed):
-        n = self.config.mesh.n_cells
-        g = packed[:, self._k1 :].reshape(n, self.config.space.n_nodes, self._k1)
-        return float(
-            np.einsum("iqj,q,j->", g**2, self.config.space.weights, self._mass)
-        )
+        """|||g|||^2 of a packed state, or one per state of a stack."""
+        weights = self.config.space.weights
+        return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
 
 
 def _batch_matrix_power(mats, exponent):
@@ -309,28 +320,44 @@ def run_fixed_steps(config, state, n_steps):
     )
 
 
-def _stencil_march(stepper, packed, n_steps, stop_factor=None):
-    """Yield (packed, E_n, ok, rho_sq, g_sq, lag_sq) for n = 0..n_steps of the stencil march.
+CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes
 
-    rho_sq = ||rho^n||^2, g_sq = |||g^n|||^2 and lag_sq = |||g^{n-1}|||^2
-    (|||g^0|||^2 at n = 0); E_n = rho_sq + eps^2 lag_sq.  The march ends after
-    the first E_n that is non-finite or beyond stop_factor * E_0, yielded with
-    ok False; no stop_factor means no limit.
+
+def _stencil_march(stepper, packed, n_steps, stop_factor=None):
+    """Yield the stencil march for n = 0..n_steps as chunks (states, E, ok, rho_sq, g_sq, lag_sq).
+
+    states stacks consecutive packed states; per state, rho_sq = ||rho^n||^2,
+    g_sq = |||g^n|||^2, lag_sq = |||g^{n-1}|||^2 (|||g^0|||^2 at n = 0) and
+    E = rho_sq + eps^2 lag_sq.  The march ends at the first E_n that is
+    non-finite or beyond stop_factor * E_0: that chunk is cut after it and
+    yielded with ok False; no stop_factor means no limit.  A chunk holds at
+    most CHUNK_BYTES of states, and its stack is overwritten by the next one.
     """
     eps_sq = stepper.config.eps**2
-    rho_sq, g_sq = stepper.rho_norm_sq(packed), stepper.g_norm_sq(packed)
-    e = rho_sq + eps_sq * g_sq
-    limit = stop_factor * e if stop_factor else math.inf
-    yield packed, e, True, rho_sq, g_sq, g_sq
-    for _ in range(n_steps):
-        lag_sq = g_sq
-        packed = stepper.apply(packed)
-        rho_sq, g_sq = stepper.rho_norm_sq(packed), stepper.g_norm_sq(packed)
-        e = rho_sq + eps_sq * lag_sq
-        ok = math.isfinite(e) and e <= limit
-        yield packed, e, ok, rho_sq, g_sq, lag_sq
-        if not ok:
+    buffer = np.empty((max(1, CHUNK_BYTES // packed.nbytes),) + packed.shape)
+    g_last = np.array([stepper.g_norm_sq(packed)])  # E_0 pairs rho^0 with g^0
+    limit = math.inf
+    first = 0  # step number of the chunk's first state
+    while first <= n_steps:
+        states = buffer[: n_steps + 1 - first]
+        # steps past a divergence are thrown away, so their overflow is moot
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(states)):
+                if first + i:
+                    packed = stepper.apply(packed)
+                states[i] = packed
+            rho_sq, g_sq = stepper.rho_norm_sq(states), stepper.g_norm_sq(states)
+            lag_sq = np.concatenate([g_last, g_sq[:-1]])
+            energies = rho_sq + eps_sq * lag_sq
+            if first == 0 and stop_factor:
+                limit = stop_factor * energies[0]
+            good = np.isfinite(energies) & (energies <= limit)
+        if not good.all():
+            cut = np.argmin(good) + 1
+            yield states[:cut], energies[:cut], False, rho_sq[:cut], g_sq[:cut], lag_sq[:cut]
             return
+        yield states, energies, True, rho_sq, g_sq, lag_sq
+        g_last, first = g_sq[-1:], first + len(states)
 
 
 def energy_history(config, state, n_steps, stop_factor=None):
@@ -342,9 +369,9 @@ def energy_history(config, state, n_steps, stop_factor=None):
     """
     march = _stencil_march(StencilStepper(config), pack_state(state), n_steps, stop_factor)
     energies = []
-    for _, e, ok, *_ in march:
-        energies.append(e)
-    return np.array(energies), ok
+    for _, chunk, ok, *_ in march:
+        energies.append(chunk)
+    return np.concatenate(energies), ok
 
 
 MIN_PROBE_STEPS = 50
@@ -417,22 +444,37 @@ def run_solve(spec):
     config = scheme.with_dt(config, dt)
     state = scheme.init_state(ic.rho0, ic.g0, config)
 
+    stepper = StencilStepper(config)
+    mass_weights = mass_diagonal(config.degree, config.mesh.h)
     rows = []
-    march = _stencil_march(StencilStepper(config), pack_state(state), n_steps, GROWTH_LIMIT)
-    for n, (packed, en, ok, rho_sq, g_sq, lag_sq) in enumerate(march):
-        state = unpack_state(packed, config, n, n * dt, math.sqrt(lag_sq))
-        rows.append(
-            {
-                "n": n,
-                "t": state.t,
-                "energy": en,
-                "rho_norm": math.sqrt(rho_sq),
-                "g_norm": math.sqrt(g_sq),
-                "mean_g_norm": state.g.bracket().norm(),
-                "mass": state.rho.integral(),
-                "status": "ok" if ok else "diverged",
-            }
+    for states, energies, ok, rho_sq, g_sq, lag_sq in _stencil_march(
+        stepper, pack_state(state), n_steps, GROWTH_LIMIT
+    ):
+        mean_g = config.space.bracket(stepper.g_nodes(states), axis=-2)
+        monitors = zip(
+            energies.tolist(),
+            np.sqrt(rho_sq).tolist(),
+            np.sqrt(g_sq).tolist(),
+            np.sqrt(np.einsum("...ij,j->...", mean_g**2, mass_weights)).tolist(),
+            (states[..., 0].sum(axis=-1) * config.mesh.h).tolist(),
         )
+        for en, rho_norm, g_norm, mean_g_norm, mass in monitors:
+            n = len(rows)
+            rows.append(
+                {
+                    "n": n,
+                    "t": n * dt,
+                    "energy": en,
+                    "rho_norm": rho_norm,
+                    "g_norm": g_norm,
+                    "mean_g_norm": mean_g_norm,
+                    "mass": mass,
+                    "status": "ok",
+                }
+            )
+    if not ok:
+        rows[-1]["status"] = "diverged"
+    state = unpack_state(states[-1], config, n, n * dt, math.sqrt(lag_sq[-1]))
 
     result = RunResult(
         spec=spec,

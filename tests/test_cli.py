@@ -61,6 +61,17 @@ def test_step_budget_exits_cleanly(mode, dt, planned, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["solve", "ap-limit"])
+def test_tiny_safety_exits_cleanly(mode, capsys):
+    # the policy's own step at safety 1e-300 plans about 1e303 steps; it is
+    # finer than the default policy's step, so the budget refuses it up front
+    code = main([mode, "--safety", "1e-300", "--tmax", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "over the budget" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", ["solve", "ap-limit", "converge"])
 def test_underflowing_step_exits_cleanly(mode, capsys):
     # the safety factor scales the stable step to a subnormal float or zero

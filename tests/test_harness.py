@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from mmdg.harness import (
     IC_REGISTRY,
     MAX_STEPS,
     ExperimentSpec,
+    StencilStepper,
     _steps_for,
     build_config,
     energy_history,
     is_stable,
+    pack_state,
     resolve_dt,
     run,
     run_ap_limit,
@@ -20,6 +23,7 @@ from mmdg.harness import (
     run_fixed_steps,
     run_solve,
     run_stability_scan,
+    unpack_state,
 )
 from mmdg.velocity import TWO_POINT, make_velocity_space
 
@@ -99,6 +103,14 @@ def test_step_budget_refuses_only_a_small_user_dt():
     spec.tmax, spec.dt = 1.0, 1e-310
     with pytest.raises(ValueError, match="plans inf steps"):
         resolve_dt(spec, config, budget=MAX_STEPS)
+    # the policy's step at a safety below the default one is held to the
+    # budget as a small user dt is; above the default it plans fewer steps
+    spec.dt, spec.tmax = None, 10 * MAX_STEPS * bound
+    spec.safety = 0.5
+    with pytest.raises(ValueError, match="over the budget 1000000"):
+        resolve_dt(spec, config, budget=MAX_STEPS)
+    spec.safety = 0.95
+    assert resolve_dt(spec, config, budget=MAX_STEPS)[0] > bound
 
 
 @pytest.mark.parametrize(
@@ -227,7 +239,10 @@ def test_solve_flags_divergence():
 )
 def test_solve_matches_reference(case):
     # the stencil march of solve reproduces a literal scheme.step loop row by row
-    spec = ExperimentSpec(mode="solve", **case)
+    _assert_solve_matches_reference(ExperimentSpec(mode="solve", **case))
+
+
+def _assert_solve_matches_reference(spec):
     result = run_solve(spec)
     config = build_config(spec, spec.cells[0], spec.eps[0], result.extra["dt"])
     ref_rows, ref_state, ref_diverge = _reference_solve(spec, config, result.rows[-1]["n"])
@@ -243,6 +258,105 @@ def test_solve_matches_reference(case):
     assert np.max(np.abs(final.g.coeff - ref_state.g.coeff)) < 1e-11
     assert final.g_norm_lag == pytest.approx(ref_state.g_norm_lag, abs=1e-11)
     assert not result.diverged and ref_diverge is None
+
+
+def _chunk_states(monkeypatch, spec, states):
+    # size the march's chunks to hold this many packed states of the spec
+    nodes = 2 if spec.model == "telegraph" else spec.nv
+    packed_bytes = 8 * spec.cells[0] * (1 + nodes) * (spec.degree + 1)
+    monkeypatch.setattr("mmdg.harness.CHUNK_BYTES", states * packed_bytes)
+
+
+@pytest.mark.parametrize("states", [2, 3])
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(model="telegraph", degree=1, cells=(16,), eps=(1e-6,), tmax=0.2),
+        dict(model="slab", nv=6, degree=2, cells=(3,), eps=(0.3,), tmax=0.2, ic="bump"),
+    ],
+    ids=["telegraph-eps1e-6", "slab-k2-N3"],
+)
+def test_solve_chunks_match_reference(monkeypatch, case, states):
+    # tiny chunks put many chunk boundaries inside the run; each row still
+    # matches the literal scheme.step march
+    spec = ExperimentSpec(mode="solve", **case)
+    _chunk_states(monkeypatch, spec, states)
+    _assert_solve_matches_reference(spec)
+
+
+@pytest.mark.parametrize("states", [2, 3])
+def test_chunked_divergence_matches_reference(monkeypatch, states):
+    # the run crosses the limit at step 12, the first state of a later chunk
+    # of either size, so the march cuts that chunk short
+    spec = ExperimentSpec(
+        mode="solve", degree=0, cells=(32,), eps=(1e-6,), tmax=25.0, ic="sin",
+        dt=0.3, force_dt=True,
+    )
+    config = build_config(spec, 32, 1e-6, 0.3)
+    ref_rows, _, ref_diverge = _reference_solve(spec, config, math.ceil(25.0 / 0.3))
+    assert ref_diverge == 12
+    _chunk_states(monkeypatch, spec, states)
+    result = run_solve(spec)
+    assert result.diverge_step == ref_diverge
+    assert len(result.rows) == len(ref_rows)
+    assert [r["status"] for r in result.rows] == ["ok"] * ref_diverge + ["diverged"]
+
+
+@pytest.mark.parametrize(
+    "dt, stop_factor", [(1e-3, None), (0.3, GROWTH_LIMIT)], ids=["stable", "diverging"]
+)
+def test_energy_history_independent_of_chunk_size(monkeypatch, dt, stop_factor):
+    spec = ExperimentSpec(mode="solve", degree=0, cells=(32,), eps=(1e-6,))
+    config = build_config(spec, 32, 1e-6, dt)
+    ic = IC_REGISTRY["sin"]
+    state = scheme.init_state(ic.rho0, ic.g0, config)
+    energies, ok = energy_history(config, state, 300, stop_factor)
+    monkeypatch.setattr("mmdg.harness.CHUNK_BYTES", 1)  # one state per chunk
+    single, single_ok = energy_history(config, state, 300, stop_factor)
+    assert ok == single_ok == (stop_factor is None)
+    assert np.array_equal(energies, single)
+
+
+def test_diverging_runs_emit_no_warning():
+    # a chunk steps on past the divergence into overflow; those steps are
+    # thrown away and must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_solve(
+            ExperimentSpec(
+                mode="solve", degree=0, cells=(32,), eps=(1e-6,), tmax=1000.0,
+                dt=0.5, force_dt=True,
+            )
+        )
+        assert result.diverged
+        run_stability_scan(
+            ExperimentSpec(
+                mode="stability-scan", model="slab", nv=4, degree=1, cells=(32,),
+                eps=(1e-6, 1e-2, 1.0), tmax=0.05,
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [dict(model="slab", nv=6, degree=2), dict(degree=0), dict(degree=1)],
+    ids=["slab-k2", "telegraph-k0", "telegraph-k1"],
+)
+@pytest.mark.parametrize("n_cells", range(1, 8))
+def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
+    # below five cells the gather folds several offsets onto the same cell
+    spec = ExperimentSpec(mode="solve", cells=(n_cells,), eps=(0.3,), **case)
+    config = build_config(spec, n_cells, 0.3, dt=0.05)
+    stepper = StencilStepper(config)
+    packed = np.random.default_rng(n_cells).standard_normal((n_cells, stepper.block))
+    rolled = sum(
+        np.roll(packed, off, axis=0) @ stepper._mblocks[off + stepper.REACH].T
+        for off in range(-stepper.REACH, stepper.REACH + 1)
+    )
+    stepped = pack_state(scheme.step(unpack_state(packed, config), config))
+    out = stepper.apply(packed)
+    for ref in (rolled, stepped):
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_solve_requires_single_case():
