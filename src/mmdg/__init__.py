@@ -10,14 +10,8 @@ from .basis import InverseConstants, LegendreBasis, inverse_constants, mass_diag
 from .fields import (
     DGField,
     KineticField,
-    L2,
     Mesh1D,
-    RADAU_MINUS,
-    RADAU_PLUS,
-    averages,
-    inner,
     interface_traces,
-    jumps,
     l2_distance,
     l2_error,
     project,

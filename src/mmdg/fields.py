@@ -4,12 +4,8 @@ A DGField stores modal Legendre coefficients per cell, shape (n_cells,
 degree+1).  A KineticField stacks one such coefficient table per velocity
 node, shape (n_nodes, n_cells, degree+1).  The mesh is uniform and periodic;
 interface i-1/2 sits between cells i-1 and i with index arithmetic mod N.
-
-Projections:
-    l2            cell moments 0..k match the target.
-    radau-minus   moments 0..k-1 match, right endpoint value matches.
-    radau-plus    moments 0..k-1 match, left endpoint value matches.
-For k = 0 the Radau modes reduce to endpoint interpolation.
+Initial data enter through the L2 projection: cell moments 0..k match the
+target.
 """
 
 from dataclasses import dataclass
@@ -18,10 +14,6 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .basis import legendre_basis, mass_diagonal
-
-L2 = "l2"
-RADAU_MINUS = "radau-minus"
-RADAU_PLUS = "radau-plus"
 
 
 @dataclass(frozen=True)
@@ -67,26 +59,15 @@ class DGField:
         if self.coeff.shape != (mesh.n_cells, degree + 1):
             raise ValueError(f"coefficient shape {self.coeff.shape} does not match mesh")
 
-    def eval(self, x, side="+"):
+    def eval(self, x):
         """Point values, periodic fold into [x_min, x_max); any input shape.
 
-        Points landing exactly on a cell edge belong to the right cell by
-        default; side='-' assigns them to the left cell instead (the
-        one-sided limit from below, needed when projecting broken data).
+        Points landing exactly on a cell edge belong to the right cell.
         """
         x = np.asarray(x, dtype=float)
         shape = x.shape
-        flat = x.ravel()
-        length = self.mesh.x_max - self.mesh.x_min
-        rel = np.mod(flat - self.mesh.x_min, length)
-        scaled = rel / self.mesh.h
-        if side == "+":
-            idx = np.minimum(scaled.astype(int), self.mesh.n_cells - 1)
-        elif side == "-":
-            idx = np.mod(np.ceil(scaled).astype(int) - 1, self.mesh.n_cells)
-            rel = np.where(np.ceil(scaled) == 0, rel + length, rel)
-        else:
-            raise ValueError(f"side must be '+' or '-', got {side!r}")
+        rel = np.mod(x.ravel() - self.mesh.x_min, self.mesh.x_max - self.mesh.x_min)
+        idx = np.minimum((rel / self.mesh.h).astype(int), self.mesh.n_cells - 1)
         xi = 2.0 * (rel - (idx + 0.5) * self.mesh.h) / self.mesh.h
         vand = legendre_basis(self.degree).vandermonde(np.clip(xi, -1.0, 1.0))
         vals = np.einsum("pj,pj->p", vand, self.coeff[idx])
@@ -154,22 +135,14 @@ class KineticField:
     def __add__(self, other):
         return KineticField(self.space, self.mesh, self.degree, self.coeff + other.coeff)
 
-    def __sub__(self, other):
-        return KineticField(self.space, self.mesh, self.degree, self.coeff - other.coeff)
-
     def __mul__(self, scalar):
         return KineticField(self.space, self.mesh, self.degree, self.coeff * float(scalar))
 
     __rmul__ = __mul__
 
 
-def project(f, mesh, degree, mode=L2):
-    """Project a pointwise function onto the broken P^degree space.
-
-    Args:
-        f: vectorized callable of x.
-        mode: one of l2, radau-minus, radau-plus.
-    """
+def project(f, mesh, degree):
+    """L2-project a vectorized callable of x onto the broken P^degree space."""
     basis = legendre_basis(degree)
     x, nodes, weights = mesh.quad_points(degree + 2)
     vand = basis.vandermonde(nodes)
@@ -178,34 +151,14 @@ def project(f, mesh, degree, mode=L2):
         fx = np.broadcast_to(fx, x.shape)
     # reference-cell moments int f P_m dxi, all cells at once
     moments = fx @ (vand * weights[:, None])
-    if mode == L2:
-        coeff = moments / basis.ref_mass
-        return DGField(mesh, degree, coeff)
-    if mode not in (RADAU_MINUS, RADAU_PLUS):
-        raise ValueError(f"unknown projection mode {mode!r}")
-    edges = mesh.edges()
-    if mode == RADAU_MINUS:
-        endpoint_row = basis.at_right
-        endpoint_val = np.asarray(f(edges[1:]), dtype=float)
-    else:
-        endpoint_row = basis.at_left
-        endpoint_val = np.asarray(f(edges[:-1]), dtype=float)
-    # k moment equations plus one endpoint equation per cell, shared matrix
-    n = degree + 1
-    system = np.zeros((n, n))
-    system[: degree, : degree] = np.diag(basis.ref_mass[:degree])
-    system[degree] = endpoint_row
-    rhs = np.empty((n, mesh.n_cells))
-    rhs[:degree] = moments[:, :degree].T
-    rhs[degree] = np.broadcast_to(endpoint_val, (mesh.n_cells,))
-    return DGField(mesh, degree, np.linalg.solve(system, rhs).T)
+    return DGField(mesh, degree, moments / basis.ref_mass)
 
 
-def project_kinetic(g, mesh, degree, space, mode=L2):
+def project_kinetic(g, mesh, degree, space):
     """Project g(x, v) node by node onto the broken space."""
     out = KineticField(space, mesh, degree)
     for q, v in enumerate(space.nodes):
-        out.coeff[q] = project(lambda x: g(x, v), mesh, degree, mode).coeff
+        out.coeff[q] = project(lambda x: g(x, v), mesh, degree).coeff
     return out
 
 
@@ -222,25 +175,6 @@ def interface_traces(field):
     return np.roll(right_of_cell, 1, axis=-1), left_of_cell
 
 
-def jumps(field):
-    """[u] = u(+) - u(-) at every interface."""
-    minus, plus = interface_traces(field)
-    return plus - minus
-
-
-def averages(field):
-    """{u} = (u(+) + u(-))/2 at every interface."""
-    minus, plus = interface_traces(field)
-    return 0.5 * (plus + minus)
-
-
-def inner(a, b):
-    """L2 inner product of two fields on the same discretization."""
-    a._check_compatible(b)
-    md = mass_diagonal(a.degree, a.mesh.h)
-    return float(np.einsum("ij,ij,j->", a.coeff, b.coeff, md))
-
-
 def l2_error(field, exact, n_points=None):
     """Quadrature L2 distance between a field and a pointwise function."""
     if n_points is None:
@@ -252,7 +186,7 @@ def l2_error(field, exact, n_points=None):
     return float(np.sqrt(0.5 * field.mesh.h * np.einsum("ip,p->", diff**2, weights)))
 
 
-def l2_distance(coarse, fine, n_points=None):
+def l2_distance(coarse, fine):
     """Quadrature L2 distance between fields on nested meshes.
 
     The second field's mesh must refine the first's (same domain, cell
@@ -260,6 +194,4 @@ def l2_distance(coarse, fine, n_points=None):
     """
     if fine.mesh.n_cells % coarse.mesh.n_cells != 0:
         raise ValueError("meshes do not nest")
-    if n_points is None:
-        n_points = max(coarse.degree, fine.degree) + 3
-    return l2_error(fine, coarse.eval, n_points)
+    return l2_error(fine, coarse.eval, max(coarse.degree, fine.degree) + 3)

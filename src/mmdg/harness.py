@@ -20,7 +20,6 @@ from .limit import init_limit_state, step_limit
 from .operators import check_flux
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
-MODES = ("solve", "converge", "stability-scan", "ap-limit")
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
 MAX_STEPS = 10**6  # step budget of solve and ap-limit, which take every step
@@ -34,7 +33,6 @@ DOMAIN = (0.0, 2.0 * np.pi)
 class InitialCondition:
     """Registered initial data; q0 takes (x, m2) for the limit scheme."""
 
-    name: str
     rho0: callable
     g0: callable
     q0: callable
@@ -50,10 +48,6 @@ def _sin_g(x, v):
 
 def _sin_q(x, m2):
     return -m2 * np.cos(x)
-
-
-def _ill_rho(x):
-    return np.sin(x)
 
 
 def _ill_g(x, v):
@@ -85,9 +79,9 @@ def _bump_q(x, m2):
 
 
 IC_REGISTRY = {
-    "sin": InitialCondition("sin", _sin_rho, _sin_g, _sin_q),
-    "ill-prepared": InitialCondition("ill-prepared", _ill_rho, _ill_g, _ill_q),
-    "bump": InitialCondition("bump", _bump_rho, _bump_g, _bump_q),
+    "sin": InitialCondition(_sin_rho, _sin_g, _sin_q),
+    "ill-prepared": InitialCondition(_sin_rho, _ill_g, _ill_q),
+    "bump": InitialCondition(_bump_rho, _bump_g, _bump_q),
 }
 
 
@@ -114,7 +108,7 @@ class ExperimentSpec:
 
     def validate(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be telegraph or slab, got {self.model!r}")
         check_flux(self.flux)
@@ -154,12 +148,12 @@ def build_config(spec, n_cells, eps, dt):
     )
 
 
-def resolve_dt(spec, config, margin=1.0, budget=math.inf):
+def resolve_dt(spec, config, margin=1.0):
     """Apply the dt policy: auto, clamped user value, or forced override.
 
     The bound is safety * margin * dt_stab; returns (dt, dt_override).  A dt
-    below the default policy's step, the bound at the default safety, is held
-    to the budget of steps to tmax; that step itself is never refused.
+    below the default policy's step, the bound at the default safety, may
+    plan at most MAX_STEPS steps to tmax; that step itself is never refused.
     """
     dt_stab = scheme.stable_dt(config).dt_stab
     bound = spec.safety * margin * dt_stab
@@ -168,10 +162,10 @@ def resolve_dt(spec, config, margin=1.0, budget=math.inf):
     else:
         dt, overrode = spec.dt, spec.dt > bound
     planned = spec.tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
-    if dt < ExperimentSpec.safety * margin * dt_stab and not planned <= budget:
+    if dt < ExperimentSpec.safety * margin * dt_stab and not planned <= MAX_STEPS:
         raise ValueError(
             f"dt={dt:.6g} is too small to step to tmax={spec.tmax:.6g}: "
-            f"it plans {planned:.7g} steps, over the budget {budget}"
+            f"it plans {planned:.7g} steps, over the budget {MAX_STEPS}"
         )
     return dt, overrode
 
@@ -332,10 +326,13 @@ def _stencil_march(stepper, packed, n_steps, stop_factor=None):
     non-finite or beyond stop_factor * E_0: that chunk is cut after it and
     yielded with ok False; no stop_factor means no limit.  A chunk holds at
     most CHUNK_BYTES of states, and its stack is overwritten by the next one.
+    An E_0 that overflows raises ValueError before the first step.
     """
     eps_sq = stepper.config.eps**2
     buffer = np.empty((max(1, CHUNK_BYTES // packed.nbytes),) + packed.shape)
     g_last = np.array([stepper.g_norm_sq(packed)])  # E_0 pairs rho^0 with g^0
+    if not math.isfinite(float(stepper.rho_norm_sq(packed)) + eps_sq * float(g_last[0])):
+        raise ValueError(f"eps={stepper.config.eps:.6g} is too large: the energy E_0 overflows")
     limit = math.inf
     first = 0  # step number of the chunk's first state
     while first <= n_steps:
@@ -439,7 +436,7 @@ def run_solve(spec):
         raise ValueError("solve mode needs exactly one cell count and one eps")
     ic = IC_REGISTRY[spec.ic]
     config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
-    dt, overrode = resolve_dt(spec, config, budget=MAX_STEPS)
+    dt, overrode = resolve_dt(spec, config)
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     config = scheme.with_dt(config, dt)
     state = scheme.init_state(ic.rho0, ic.g0, config)
@@ -674,21 +671,20 @@ def run_ap_limit(spec):
     space = build_space(spec)
     m2 = space.moments().m2
     config0 = build_config(spec, spec.cells[0], 0.0, dt=1.0)
-    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0, budget=MAX_STEPS)
+    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0)
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
-    mesh = config0.mesh
-    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), mesh, spec.degree)
+    configs = [build_config(spec, spec.cells[0], eps, dt) for eps in spec.eps]
+    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), config0.mesh, spec.degree)
     for _ in range(n_steps):
         lim = step_limit(lim, dt, spec.flux, m2)
     rows = []
-    for eps in spec.eps:
-        config = build_config(spec, spec.cells[0], eps, dt)
+    for config in configs:
         state = scheme.init_state(ic.rho0, ic.g0, config)
         for _ in range(n_steps):
             state = scheme.step(state, config)
         rows.append(
             {
-                "eps": eps,
+                "eps": config.eps,
                 "steps": n_steps,
                 "rho_distance": (state.rho - lim.rho).norm(),
                 "q_distance": (state.g.bracket_v() - lim.q).norm(),
@@ -701,12 +697,14 @@ def run_ap_limit(spec):
     return result
 
 
+MODES = {
+    "solve": run_solve,
+    "converge": run_convergence,
+    "stability-scan": run_stability_scan,
+    "ap-limit": run_ap_limit,
+}
+
+
 def run(spec):
     """Dispatch on spec.mode."""
-    handlers = {
-        "solve": run_solve,
-        "converge": run_convergence,
-        "stability-scan": run_stability_scan,
-        "ap-limit": run_ap_limit,
-    }
-    return handlers[spec.mode](spec)
+    return MODES[spec.mode](spec)

@@ -11,6 +11,7 @@ g_new = v * D(rho_new).
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 from . import velocity
@@ -51,6 +52,10 @@ class SchemeConfig:
             raise ValueError("eps must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.eps * self.eps / self.dt):
+            raise ValueError(
+                f"eps={self.eps:.6g} is too large: eps^2/dt overflows at dt={self.dt:.6g}"
+            )
         if not 0 <= self.degree:
             raise ValueError("degree must be >= 0")
         check_flux(self.flux)

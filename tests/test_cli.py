@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mmdg.cli import build_parser, main, read_config_file
@@ -81,6 +83,32 @@ def test_underflowing_step_exits_cleanly(mode, capsys):
     err = capsys.readouterr().err
     assert "mmdg: error:" in err and "too small to step" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--eps", "1e300"],
+        ["converge", "--cells", "8,16,32", "--eps", "1e300"],
+        ["stability-scan", "--eps", "1e300"],
+        ["ap-limit", "--eps", "1e154,0"],
+        # eps^2/dt fits at dt = tmax = 1, but eps^2 |||g^0|||^2 overflows E_0
+        ["solve", "--k", "0", "--eps", "1e154", "--tmax", "1"],
+    ],
+    ids=["solve", "converge", "stability-scan", "ap-limit", "solve-energy"],
+)
+def test_overflowing_eps_exits_cleanly(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "is too large" in err
+    assert "Traceback" not in err
+
+
+def test_large_finite_eps_still_runs(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["solve", "--eps", "1e150", "--tmax", "0.01", "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[-1] == "ok" and math.isfinite(float(last[2]))
 
 
 def test_converge_smoke(tmp_path):

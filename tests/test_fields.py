@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from dg_tools import (
+    L2,
+    RADAU_MINUS,
+    RADAU_PLUS,
+    averages,
+    eval_from_left,
+    inner,
+    jumps,
+    project_in_mode,
+)
 from mmdg.basis import legendre_basis
 from mmdg.fields import (
     DGField,
     KineticField,
-    L2,
     Mesh1D,
-    RADAU_MINUS,
-    RADAU_PLUS,
-    averages,
-    inner,
     interface_traces,
-    jumps,
     l2_distance,
     l2_error,
     project,
@@ -49,15 +53,15 @@ def test_projection_reproduces_broken_polynomials(mode, k):
     rng = np.random.default_rng(5 * k + len(mode))
     mesh = _mesh(6)
     target = DGField(mesh, k, rng.standard_normal((6, k + 1)))
-    side = "-" if mode == RADAU_MINUS else "+"
-    projected = project(lambda x: target.eval(x, side=side), mesh, k, mode)
+    sample = eval_from_left if mode == RADAU_MINUS else DGField.eval
+    projected = project_in_mode(lambda x: sample(target, x), mesh, k, mode)
     assert np.max(np.abs(projected.coeff - target.coeff)) < 1e-11
 
 
 def test_radau_endpoint_constraints():
     mesh = _mesh(10)
-    minus = project(np.sin, mesh, 2, RADAU_MINUS)
-    plus = project(np.sin, mesh, 2, RADAU_PLUS)
+    minus = project_in_mode(np.sin, mesh, 2, RADAU_MINUS)
+    plus = project_in_mode(np.sin, mesh, 2, RADAU_PLUS)
     edges = mesh.edges()
     tr_minus, tr_plus = interface_traces(minus)
     # right endpoint of cell i is the minus trace at interface i+1/2
@@ -80,7 +84,7 @@ def test_projection_error_rates(mode, k):
     data = []
     for n in (16, 32, 64):
         mesh = _mesh(n)
-        field = project(np.sin, mesh, k, mode)
+        field = project_in_mode(np.sin, mesh, k, mode)
         err_sq = l2_error(field, np.sin) ** 2
         minus, plus = interface_traces(field)
         edge_vals = np.sin(mesh.edges()[:-1])

@@ -73,7 +73,7 @@ def test_resolve_dt_policies():
     theory = scheme.stable_dt(config).dt_stab
     dt, overrode = resolve_dt(spec, config)
     assert dt == pytest.approx(0.5 * theory) and not overrode
-    spec.dt = 1e-9
+    spec.dt, spec.tmax = 1e-9, 1e-4  # within the step budget
     dt, overrode = resolve_dt(spec, config)
     assert dt == 1e-9 and not overrode
     spec.dt = 10.0
@@ -91,26 +91,26 @@ def test_step_budget_refuses_only_a_small_user_dt():
     config = build_config(spec, 16, 1.0, dt=1.0)
     bound = 0.9 * scheme.stable_dt(config).dt_stab
     spec.tmax = 10 * MAX_STEPS * bound
-    dt, _ = resolve_dt(spec, config, budget=MAX_STEPS)
+    dt, _ = resolve_dt(spec, config)
     assert dt == bound
     assert _steps_for(spec.tmax, dt, exact_dt=False)[0] > MAX_STEPS
     spec.dt = 10 * bound  # clamped to the bound: the policy's plan again
-    assert resolve_dt(spec, config, budget=MAX_STEPS) == (bound, False)
+    assert resolve_dt(spec, config) == (bound, False)
     spec.dt = bound / 2
     with pytest.raises(ValueError, match="over the budget 1000000"):
-        resolve_dt(spec, config, budget=MAX_STEPS)
+        resolve_dt(spec, config)
     # a subnormal dt overflows the planned count to inf and is refused too
     spec.tmax, spec.dt = 1.0, 1e-310
     with pytest.raises(ValueError, match="plans inf steps"):
-        resolve_dt(spec, config, budget=MAX_STEPS)
+        resolve_dt(spec, config)
     # the policy's step at a safety below the default one is held to the
     # budget as a small user dt is; above the default it plans fewer steps
     spec.dt, spec.tmax = None, 10 * MAX_STEPS * bound
     spec.safety = 0.5
     with pytest.raises(ValueError, match="over the budget 1000000"):
-        resolve_dt(spec, config, budget=MAX_STEPS)
+        resolve_dt(spec, config)
     spec.safety = 0.95
-    assert resolve_dt(spec, config, budget=MAX_STEPS)[0] > bound
+    assert resolve_dt(spec, config)[0] > bound
 
 
 @pytest.mark.parametrize(

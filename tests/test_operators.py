@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from dg_tools import (
+    RADAU_MINUS,
+    RADAU_PLUS,
+    inner,
+    jumps,
+    project_in_mode,
+    project_kinetic_in_mode,
+)
 from mmdg.basis import legendre_basis, mass_diagonal
 from mmdg.fields import (
     DGField,
     KineticField,
     Mesh1D,
-    RADAU_MINUS,
-    RADAU_PLUS,
-    inner,
     interface_traces,
-    jumps,
     l2_error,
     project,
     project_kinetic,
@@ -292,7 +296,7 @@ def test_gradient_exact_on_matched_radau_data(k):
     # radau-plus data with the rho(+) interface value reproduces the
     # projected exact derivative up to the projection quadrature error
     mesh = _mesh(32)
-    grad = minus_gradient(project(np.sin, mesh, k, RADAU_PLUS), ALT_LR)
+    grad = minus_gradient(project_in_mode(np.sin, mesh, k, RADAU_PLUS), ALT_LR)
     target = project(lambda x: -np.cos(x), mesh, k)
     assert np.max(np.abs(grad.coeff - target.coeff)) < 1e-7
 
@@ -300,7 +304,7 @@ def test_gradient_exact_on_matched_radau_data(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_divergence_exact_on_matched_radau_data(k):
     mesh = _mesh(32)
-    g = project_kinetic(lambda x, v: v * np.sin(x), mesh, k, TELEGRAPH, RADAU_MINUS)
+    g = project_kinetic_in_mode(lambda x, v: v * np.sin(x), mesh, k, TELEGRAPH, RADAU_MINUS)
     out = moment_flux_divergence(g, ALT_LR)
     target = project(np.cos, mesh, k)
     assert np.max(np.abs(out.coeff - target.coeff)) < 1e-7
