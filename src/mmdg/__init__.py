@@ -40,7 +40,6 @@ from .operators import (
 )
 from .scheme import (
     SchemeConfig,
-    StabilityConstants,
     State,
     energy,
     init_state,

@@ -2,14 +2,16 @@
 and kinetic-vs-limit distance sweeps.
 
 Every driver takes an ExperimentSpec, returns the rows it computed, and
-optionally writes them as CSV: one comment line echoing the full spec, one
-column-name line, then data rows.  Output is deterministic for a fixed spec
-(fixed evaluation order, no time-based seeds, 17-digit float formatting).
+optionally writes them as CSV: one comment line echoing the full spec and
+the run's header facts, one column-name line, then data rows.  Output is
+deterministic for a fixed spec (fixed evaluation order, no time-based seeds,
+17-digit float formatting).
 """
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .operators import check_flux
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
-MAX_STEPS = 10**6  # step budget of solve and ap-limit, which take every step
+MAX_STEPS = 10**6  # step budget of solve, ap-limit and the scan's probes
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -128,6 +130,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown initial condition {self.ic!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError(f"output directory of {self.out!r} does not exist")
         return self
 
 
@@ -155,19 +159,25 @@ def resolve_dt(spec, config, margin=1.0):
     below the default policy's step, the bound at the default safety, may
     plan at most MAX_STEPS steps to tmax; that step itself is never refused.
     """
-    dt_stab = scheme.stable_dt(config).dt_stab
+    dt_stab = scheme.stable_dt(config)
     bound = spec.safety * margin * dt_stab
     if spec.dt is None or (spec.dt > bound and not spec.force_dt):
         dt, overrode = bound, False
     else:
         dt, overrode = spec.dt, spec.dt > bound
-    planned = spec.tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
-    if dt < ExperimentSpec.safety * margin * dt_stab and not planned <= MAX_STEPS:
+    if dt < ExperimentSpec.safety * margin * dt_stab:
+        _check_budget(spec.tmax, dt)
+    return dt, overrode
+
+
+def _check_budget(tmax, dt):
+    """Refuse a dt that plans more than MAX_STEPS steps to tmax."""
+    planned = tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
+    if not planned <= MAX_STEPS:
         raise ValueError(
-            f"dt={dt:.6g} is too small to step to tmax={spec.tmax:.6g}: "
+            f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}: "
             f"it plans {planned:.7g} steps, over the budget {MAX_STEPS}"
         )
-    return dt, overrode
 
 
 def _steps_for(tmax, dt, exact_dt):
@@ -326,13 +336,10 @@ def _stencil_march(stepper, packed, n_steps, stop_factor=None):
     non-finite or beyond stop_factor * E_0: that chunk is cut after it and
     yielded with ok False; no stop_factor means no limit.  A chunk holds at
     most CHUNK_BYTES of states, and its stack is overwritten by the next one.
-    An E_0 that overflows raises ValueError before the first step.
     """
     eps_sq = stepper.config.eps**2
     buffer = np.empty((max(1, CHUNK_BYTES // packed.nbytes),) + packed.shape)
     g_last = np.array([stepper.g_norm_sq(packed)])  # E_0 pairs rho^0 with g^0
-    if not math.isfinite(float(stepper.rho_norm_sq(packed)) + eps_sq * float(g_last[0])):
-        raise ValueError(f"eps={stepper.config.eps:.6g} is too large: the energy E_0 overflows")
     limit = math.inf
     first = 0  # step number of the chunk's first state
     while first <= n_steps:
@@ -386,44 +393,42 @@ def is_stable(config, state, tmax):
     return ok
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _initial_state(spec, config):
+    """The spec's initial data projected on config; refuses an E_0 that overflows."""
+    ic = IC_REGISTRY[spec.ic]
+    state = scheme.init_state(ic.rho0, ic.g0, config)
+    if not math.isfinite(scheme.energy(state, config)):
+        raise ValueError(f"eps={config.eps:.6g} is too large: the energy E_0 overflows")
+    return state
 
 
-def _spec_echo(spec):
-    parts = []
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(_fmt(v) for v in value)
-        parts.append(f"{f.name}={_fmt(value)}")
-    return "# " + ";".join(parts)
-
-
-def write_csv(path, spec, columns, rows, extra_header=""):
+def write_csv(path, spec, columns, rows, header):
+    """Rows under one '# key=value;...' line: the spec's fields, then the header's."""
     with open(path, "w", newline="") as fh:
-        fh.write(_spec_echo(spec) + extra_header + "\n")
+        fh.write(scheme.header_line({**asdict(spec), **header}))
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([scheme.format_value(row[c]) for c in columns])
 
 
 @dataclass
 class RunResult:
+    """A driver's rows, plus the run facts its CSV echoes after the spec, in
+    header's order: dt_used and dt_override (solve, ap-limit), growth_limit
+    (solve, stability-scan)."""
+
     spec: ExperimentSpec
     columns: list
     rows: list
     diverged: bool = False
     diverge_step: int = None
     final_state: object = None
-    extra: dict = field(default_factory=dict)
+    header: dict = field(default_factory=dict)
 
-    def write(self, extra_header=""):
+    def write(self):
         if self.spec.out:
-            write_csv(self.spec.out, self.spec, self.columns, self.rows, extra_header)
+            write_csv(self.spec.out, self.spec, self.columns, self.rows, self.header)
 
 
 SOLVE_COLUMNS = ["n", "t", "energy", "rho_norm", "g_norm", "mean_g_norm", "mass", "status"]
@@ -434,12 +439,11 @@ def run_solve(spec):
     spec.validate()
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
-    ic = IC_REGISTRY[spec.ic]
     config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
     dt, overrode = resolve_dt(spec, config)
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     config = scheme.with_dt(config, dt)
-    state = scheme.init_state(ic.rho0, ic.g0, config)
+    state = _initial_state(spec, config)
 
     stepper = StencilStepper(config)
     mass_weights = mass_diagonal(config.degree, config.mesh.h)
@@ -480,10 +484,9 @@ def run_solve(spec):
         diverged=not ok,
         diverge_step=None if ok else n,
         final_state=state,
-        extra={"dt": dt, "dt_override": overrode},
+        header={"dt_used": dt, "dt_override": int(overrode), "growth_limit": GROWTH_LIMIT},
     )
-    header = f";dt_used={_fmt(dt)};dt_override={int(overrode)};growth_limit={_fmt(GROWTH_LIMIT)}"
-    result.write(extra_header=header)
+    result.write()
     if spec.out:
         scheme.save_state(state, config, spec.out + ".state.csv")
     return result
@@ -505,13 +508,17 @@ REF_FACTOR_X = 4  # reference run: this many times the finest cell count
 REF_FACTOR_T = 16  # and the finest dt divided by this
 
 
-def _convergence_dts(spec, eps, cells):
-    """dt per level: proportional to h^(k+1), capped by the stable step."""
-    dts = []
+def _convergence_levels(spec, eps, cells):
+    """(config, n_steps) of each level, and of the reference run or None.
+
+    A level's dt is proportional to h^(k+1), capped by the stable step.  The
+    reference is None where the exact limit solution serves instead.
+    """
+    levels = []
     anchor = None
     for n in cells:
         config = build_config(spec, n, eps, dt=1.0)
-        cap = spec.safety * scheme.stable_dt(config).dt_stab
+        cap = spec.safety * scheme.stable_dt(config)
         h = config.mesh.h
         if anchor is None:
             base = min(spec.dt, cap) if spec.dt is not None else cap
@@ -520,15 +527,16 @@ def _convergence_dts(spec, eps, cells):
         else:
             dt = min(anchor * h ** (spec.degree + 1), cap)
         n_steps, dt = _steps_for(spec.tmax, dt, exact_dt=False)
-        dts.append((n, dt, n_steps))
-    return dts
+        levels.append((scheme.with_dt(config, dt), n_steps))
+    if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
+        return levels, None
+    n_steps, dt = _steps_for(spec.tmax, levels[-1][0].dt / REF_FACTOR_T, exact_dt=False)
+    return levels, (build_config(spec, REF_FACTOR_X * cells[-1], eps, dt), n_steps)
 
 
-def _march(spec, n_cells, eps, dt, n_steps):
+def _march(spec, config, n_steps):
     ic = IC_REGISTRY[spec.ic]
-    config = build_config(spec, n_cells, eps, dt)
-    state = scheme.init_state(ic.rho0, ic.g0, config)
-    return run_fixed_steps(config, state, n_steps)
+    return run_fixed_steps(config, scheme.init_state(ic.rho0, ic.g0, config), n_steps)
 
 
 def run_convergence(spec):
@@ -537,7 +545,8 @@ def run_convergence(spec):
     In the near-limit regime (eps <= 1e-6, sin data) errors are measured
     against the exact decayed-sine solution of the limiting heat equation;
     otherwise against a reference run on a REF_FACTOR_X finer mesh with the
-    finest dt / REF_FACTOR_T.
+    finest dt / REF_FACTOR_T.  Every run's config is built at its own dt
+    before the first step, so a bad eps is refused before any work.
     """
     spec.validate()
     cells = sorted(int(n) for n in spec.cells)
@@ -548,31 +557,28 @@ def run_convergence(spec):
             raise ValueError("cell counts must double between levels")
     space = build_space(spec)
     m2 = space.moments().m2
+    blocks = [(eps, *_convergence_levels(spec, eps, cells)) for eps in spec.eps]
     rows = []
-    for eps in spec.eps:
-        levels = _convergence_dts(spec, eps, cells)
-        if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
+    for eps, levels, ref in blocks:
+        if ref is None:
             decay = math.exp(-m2 * spec.tmax)
             distance = l2_error
             targets = [lambda x: decay * np.sin(x)]
             targets += [lambda x, v=v: -v * decay * np.cos(x) for v in space.nodes]
         else:
-            n_ref = REF_FACTOR_X * cells[-1]
-            dt_ref = levels[-1][1] / REF_FACTOR_T
-            n_steps_ref, dt_ref = _steps_for(spec.tmax, dt_ref, exact_dt=False)
-            ref = _march(spec, n_ref, eps, dt_ref, n_steps_ref)
+            ref_state = _march(spec, *ref)
             distance = l2_distance
-            targets = [ref.rho] + [ref.g.node(q) for q in range(space.n_nodes)]
+            targets = [ref_state.rho] + [ref_state.g.node(q) for q in range(space.n_nodes)]
         prev = None
-        for n, dt, n_steps in levels:
-            final = _march(spec, n, eps, dt, n_steps)
+        for config, n_steps in levels:
+            final = _march(spec, config, n_steps)
             computed = [final.rho] + [final.g.node(q) for q in range(space.n_nodes)]
             err_rho, *err_nodes = [distance(f, t) for f, t in zip(computed, targets)]
             err_g = eps * math.sqrt(sum(w * e * e for w, e in zip(space.weights, err_nodes)))
             row = {
                 "eps": eps,
-                "n_cells": n,
-                "dt": dt,
+                "n_cells": config.mesh.n_cells,
+                "dt": config.dt,
                 "err_rho": err_rho,
                 "order_rho": float("nan"),
                 "err_g": err_g,
@@ -605,50 +611,54 @@ def run_stability_scan(spec):
     stable step as the lower end, the step doubles until a run is unstable;
     if none is within MAX_DOUBLINGS doublings the row is flagged
     no-upper-bracket.  Bisection then narrows the boundary to 2% relative
-    width.
+    width.  Each case's config, initial data and MAX_STEPS budget are
+    checked at dt_stab, the smallest probe step, before the first probe.
     """
     spec.validate()
-    ic = IC_REGISTRY[spec.ic]
-    rows = []
+    cases = []
     for n_cells in spec.cells:
         for eps in spec.eps:
             config = build_config(spec, n_cells, eps, dt=1.0)
-            theory = scheme.stable_dt(config).dt_stab
+            config = scheme.with_dt(config, scheme.stable_dt(config))
+            _check_budget(spec.tmax, config.dt)
+            cases.append((config, _initial_state(spec, config)))
+    rows = []
+    for config, state in cases:
 
-            def probe(dt):
-                cfg = scheme.with_dt(config, dt)
-                state = scheme.init_state(ic.rho0, ic.g0, cfg)
-                return is_stable(cfg, state, spec.tmax)
+        def probe(dt):
+            return is_stable(scheme.with_dt(config, dt), state, spec.tmax)
 
-            lo, flag = theory, ""
-            if not probe(lo):
-                lo, flag = float("nan"), "unstable-at-theory"
+        lo, flag = config.dt, ""
+        if not probe(lo):
+            lo, flag = float("nan"), "unstable-at-theory"
+        else:
+            for _ in range(MAX_DOUBLINGS):
+                hi = 2.0 * lo
+                if not probe(hi):
+                    break
+                lo = hi
             else:
-                for _ in range(MAX_DOUBLINGS):
-                    hi = 2.0 * lo
-                    if not probe(hi):
-                        break
-                    lo = hi
-                else:
-                    flag = "no-upper-bracket"
-            while not flag and hi - lo > 0.02 * lo:
-                mid = 0.5 * (lo + hi)
-                if probe(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            rows.append(
-                {
-                    "eps": eps,
-                    "n_cells": n_cells,
-                    "dt_stab": theory,
-                    "dt_empirical": lo,
-                    "ratio": lo / theory,
-                    "flag": flag,
-                }
-            )
-    result = RunResult(spec=spec, columns=SCAN_COLUMNS, rows=rows)
-    result.write(extra_header=f";growth_limit={_fmt(GROWTH_LIMIT)}")
+                flag = "no-upper-bracket"
+        while not flag and hi - lo > 0.02 * lo:
+            mid = 0.5 * (lo + hi)
+            if probe(mid):
+                lo = mid
+            else:
+                hi = mid
+        rows.append(
+            {
+                "eps": config.eps,
+                "n_cells": config.mesh.n_cells,
+                "dt_stab": config.dt,
+                "dt_empirical": lo,
+                "ratio": lo / config.dt,
+                "flag": flag,
+            }
+        )
+    result = RunResult(
+        spec=spec, columns=SCAN_COLUMNS, rows=rows, header={"growth_limit": GROWTH_LIMIT}
+    )
+    result.write()
     return result
 
 
@@ -690,10 +700,9 @@ def run_ap_limit(spec):
                 "q_distance": (state.g.bracket_v() - lim.q).norm(),
             }
         )
-    result = RunResult(
-        spec=spec, columns=AP_COLUMNS, rows=rows, extra={"dt": dt, "dt_override": overrode}
-    )
-    result.write(extra_header=f";dt_used={_fmt(dt)};dt_override={int(overrode)}")
+    header = {"dt_used": dt, "dt_override": int(overrode)}
+    result = RunResult(spec=spec, columns=AP_COLUMNS, rows=rows, header=header)
+    result.write()
     return result
 
 

@@ -72,19 +72,6 @@ class State:
     g_norm_lag: float = 0.0
 
 
-@dataclass(frozen=True)
-class StabilityConstants:
-    """CFL ingredients and the resulting stable time step."""
-
-    degree: int
-    c_inv: float
-    c_inv_hat: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    dt_stab: float
-
-
 def init_state(rho0, g0, config):
     """L2-project the initial data; g0 is a callable of (x, v)."""
     rho = project(rho0, config.mesh, config.degree)
@@ -115,12 +102,15 @@ def step(state, config):
 
 
 def stable_dt(config):
-    """Stability constants and the provable stable step for this config.
+    """The provable stable step dt_stab for this config.
 
-    For k >= 1 the bound is h (h + min(eps, a2 h / a1) a3) / (a1 + a2 a3);
-    for k = 0 it is 2h (h + a3 eps) / (a2 a3).  Without the mean-free
-    streaming term the two-point model obeys the eps-independent bound
-    h^2/(c_hat + 4 c^2) for k >= 1 and h^2/(2 c^2) for k = 0.
+    From the inverse constants c, c_hat and the velocity moments,
+    a1 = (||v||_inf^2 + <v^2>) c_hat, a2 = 2 (||v||_inf + <|v|>) c and
+    a3 = 2 ||v||_inf c.  For k >= 1 the bound is
+    h (h + min(eps, a2 h / a1) a3) / (a1 + a2 a3); for k = 0 it is
+    2h (h + a3 eps) / (a2 a3).  Without the mean-free streaming term the
+    two-point model obeys the eps-independent bound h^2/(c_hat + 4 c^2) for
+    k >= 1 and h^2/(2 c^2) for k = 0.
     """
     inv = inverse_constants(config.degree)
     if config.continuum_moments and config.space.kind == velocity.GAUSS_ORDINATES:
@@ -140,23 +130,12 @@ def stable_dt(config):
                 "two-point velocity model"
             )
         if config.degree >= 1:
-            dt = h * h / (inv.c_inv_hat + 4.0 * inv.c_inv**2)
-        else:
-            dt = h * h / (2.0 * inv.c_inv**2)
-    elif config.degree >= 1:
+            return h * h / (inv.c_inv_hat + 4.0 * inv.c_inv**2)
+        return h * h / (2.0 * inv.c_inv**2)
+    if config.degree >= 1:
         eps_cap = min(config.eps, a2 * h / a1) if a1 > 0 else config.eps
-        dt = h / (a1 + a2 * a3) * (h + eps_cap * a3)
-    else:
-        dt = 2.0 * h / (a2 * a3) * (h + a3 * config.eps)
-    return StabilityConstants(
-        degree=config.degree,
-        c_inv=inv.c_inv,
-        c_inv_hat=inv.c_inv_hat,
-        alpha1=a1,
-        alpha2=a2,
-        alpha3=a3,
-        dt_stab=dt,
-    )
+        return h / (a1 + a2 * a3) * (h + eps_cap * a3)
+    return 2.0 * h / (a2 * a3) * (h + a3 * config.eps)
 
 
 def energy(state, config):
@@ -164,30 +143,31 @@ def energy(state, config):
     return state.rho.norm() ** 2 + config.eps**2 * state.g_norm_lag**2
 
 
+def format_value(value):
+    """One header or CSV value: floats to 17 digits, tuples comma-joined."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
+    return str(value)
+
+
+def header_line(items):
+    """The '# key=value;...' first line of every output file, in the dict's order."""
+    return "# " + ";".join(f"{key}={format_value(v)}" for key, v in items.items()) + "\n"
+
+
 def save_state(state, config, path):
     """Checkpoint: header with run metadata, then one row per coefficient."""
+    mesh, space = config.mesh, config.space
+    meta = dict(
+        n=state.n, t=state.t, eps=config.eps, dt=config.dt, degree=config.degree,
+        n_cells=mesh.n_cells, x_min=mesh.x_min, x_max=mesh.x_max, flux=config.flux,
+        model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
+        continuum_moments=int(config.continuum_moments), g_norm_lag=state.g_norm_lag,
+    )
     with open(path, "w", newline="") as fh:
-        fh.write(
-            "# n=%d;t=%.17g;eps=%.17g;dt=%.17g;degree=%d;n_cells=%d;"
-            "x_min=%.17g;x_max=%.17g;flux=%s;model=%s;nv=%d;include_bh=%d;"
-            "continuum_moments=%d;g_norm_lag=%.17g\n"
-            % (
-                state.n,
-                state.t,
-                config.eps,
-                config.dt,
-                config.degree,
-                config.mesh.n_cells,
-                config.mesh.x_min,
-                config.mesh.x_max,
-                config.flux,
-                config.space.kind,
-                config.space.n_nodes,
-                int(config.include_bh),
-                int(config.continuum_moments),
-                state.g_norm_lag,
-            )
-        )
+        fh.write(header_line(meta))
         writer = csv.writer(fh)
         writer.writerow(["field", "node", "cell", "x_left", "mode", "coefficient"])
         edges = config.mesh.edges()

@@ -104,6 +104,48 @@ def test_overflowing_eps_exits_cleanly(argv, capsys):
     assert "Traceback" not in err
 
 
+def _forbid_steps(monkeypatch):
+    # any step, stencil build or limit step fails the test
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr("mmdg.harness.StencilStepper.__init__", refuse)
+    monkeypatch.setattr("mmdg.harness.step_limit", refuse)
+    monkeypatch.setattr("mmdg.scheme.step", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # eps^2/dt_stab overflows at the last eps only
+        ("stability-scan --k 1 --cells 64 --eps 1e-2,1,1e154 --tmax 1", "is too large"),
+        # eps^2/dt_stab fits at k = 0, but E_0 overflows
+        ("stability-scan --k 0 --cells 8 --eps 1e-2,1e154 --tmax 1", "E_0 overflows"),
+        ("converge --k 1 --cells 64,128,256 --eps 1e-2,1e154 --tmax 0.1", "is too large"),
+        # every probe's dt is at least dt_stab, which plans about 1.8e9 steps
+        ("stability-scan --k 0 --cells 8 --eps 1 --tmax 1e9", "over the budget"),
+    ],
+    ids=["scan-eps", "scan-energy", "converge-eps", "scan-budget"],
+)
+def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
+    _forbid_steps(monkeypatch)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["solve", "converge", "stability-scan", "ap-limit"])
+def test_missing_output_directory_refused_before_any_step(mode, monkeypatch, tmp_path, capsys):
+    _forbid_steps(monkeypatch)
+    out = str(tmp_path / "no-such-dir" / "run.csv")
+    cells = "8,16,32" if mode == "converge" else "8"
+    assert main([mode, "--cells", cells, "--eps", "1", "--tmax", "0.1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "does not exist" in err
+    assert "Traceback" not in err
+
+
 def test_large_finite_eps_still_runs(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["solve", "--eps", "1e150", "--tmax", "0.01", "--out", str(out)]) == 0
@@ -211,3 +253,54 @@ def test_read_config_file_parses(tmp_path):
     cfg.write_text("# comment only\nflux = central\nno-bh = true\n")
     values = read_config_file(cfg)
     assert values == {"flux": "central", "no-bh": "true"}
+
+
+_SPEC_TAIL = "safety=0.90000000000000002;c0=0.050000000000000003;"
+
+HEADER_CASES = {
+    "solve": (
+        "solve --k 1 --cells 16 --eps 1e-3 --tmax 0.05 --no-bh",
+        "# mode=solve;model=telegraph;nv=8;degree=1;cells=16;eps=0.001;dt=None;flux=alt-lr;"
+        "include_bh=False;" + _SPEC_TAIL + "tmax=0.050000000000000003;ic=sin;out={out};"
+        "force_dt=False;continuum_moments=False;dt_used=0.0017857142857142859;dt_override=0;"
+        "growth_limit=10",
+    ),
+    "converge": (
+        "converge --k 0 --cells 4,8,16 --eps 0.5 --tmax 0.01",
+        "# mode=converge;model=telegraph;nv=8;degree=0;cells=4,8,16;eps=0.5;dt=None;"
+        "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
+        "force_dt=False;continuum_moments=False",
+    ),
+    "stability-scan": (
+        "stability-scan --model slab --nv 2 --k 0 --cells 8 --eps 1 --tmax 0.1 "
+        "--continuum-moments",
+        "# mode=stability-scan;model=slab;nv=2;degree=0;cells=8;eps=1;dt=None;flux=alt-lr;"
+        "include_bh=True;" + _SPEC_TAIL + "tmax=0.10000000000000001;ic=sin;out={out};"
+        "force_dt=False;continuum_moments=True;growth_limit=10",
+    ),
+    "ap-limit": (
+        "ap-limit --k 0 --cells 8 --eps 0,1e-4 --tmax 0.01 --dt 0.5 --force-dt",
+        "# mode=ap-limit;model=telegraph;nv=8;degree=0;cells=8;eps=0,0.0001;dt=0.5;"
+        "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
+        "force_dt=True;continuum_moments=False;dt_used=0.5;dt_override=1",
+    ),
+}
+
+STATE_HEADER = (
+    "# n=28;t=0.050000000000000003;eps=0.001;dt=0.0017857142857142859;degree=1;n_cells=16;"
+    "x_min=0;x_max=6.2831853071795862;flux=alt-lr;model=discrete-two-point;nv=2;"
+    "include_bh=0;continuum_moments=0;g_norm_lag=1.6888438382089013"
+)
+
+
+@pytest.mark.parametrize("mode", HEADER_CASES)
+def test_header_bytes_pinned(mode, tmp_path):
+    # the first line of every output file, byte for byte
+    argv, expected = HEADER_CASES[mode]
+    out = str(tmp_path / "out.csv")
+    assert main(argv.split() + ["--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert fh.readline() == expected.format(out=out) + "\n"
+    if mode == "solve":
+        with open(out + ".state.csv", newline="") as fh:
+            assert fh.readline() == STATE_HEADER + "\n"

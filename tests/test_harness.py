@@ -70,7 +70,7 @@ def test_spec_validation(bad):
 def test_resolve_dt_policies():
     spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1.0,), safety=0.5)
     config = build_config(spec, 16, 1.0, dt=1.0)
-    theory = scheme.stable_dt(config).dt_stab
+    theory = scheme.stable_dt(config)
     dt, overrode = resolve_dt(spec, config)
     assert dt == pytest.approx(0.5 * theory) and not overrode
     spec.dt, spec.tmax = 1e-9, 1e-4  # within the step budget
@@ -89,7 +89,7 @@ def test_step_budget_refuses_only_a_small_user_dt():
     # the policy picks itself, however many steps that plans
     spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1.0,))
     config = build_config(spec, 16, 1.0, dt=1.0)
-    bound = 0.9 * scheme.stable_dt(config).dt_stab
+    bound = 0.9 * scheme.stable_dt(config)
     spec.tmax = 10 * MAX_STEPS * bound
     dt, _ = resolve_dt(spec, config)
     assert dt == bound
@@ -244,7 +244,7 @@ def test_solve_matches_reference(case):
 
 def _assert_solve_matches_reference(spec):
     result = run_solve(spec)
-    config = build_config(spec, spec.cells[0], spec.eps[0], result.extra["dt"])
+    config = build_config(spec, spec.cells[0], spec.eps[0], result.header["dt_used"])
     ref_rows, ref_state, ref_diverge = _reference_solve(spec, config, result.rows[-1]["n"])
     assert len(result.rows) == len(ref_rows)
     for row, ref in zip(result.rows, ref_rows):
@@ -479,8 +479,8 @@ def test_ap_limit_sweep():
     # automatic step applies both the safety factor and the c0 margin, then
     # shrinks to land on tmax
     config = build_config(spec, 16, 0.0, dt=1.0)
-    bound = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
-    steps, dt = result.rows[0]["steps"], result.extra["dt"]
+    bound = 0.9 * 0.95 * scheme.stable_dt(config)
+    steps, dt = result.rows[0]["steps"], result.header["dt_used"]
     assert dt <= bound
     assert steps == math.ceil(0.02 / bound)
     assert steps * dt == pytest.approx(0.02, rel=1e-12)
@@ -492,18 +492,18 @@ def test_ap_limit_follows_dt_policy(tmp_path):
         mode="ap-limit", degree=1, cells=(16,), eps=(1e-2, 0.0), tmax=0.02
     )
     config = build_config(spec, 16, 0.0, dt=1.0)
-    bound = 0.9 * 0.95 * scheme.stable_dt(config).dt_stab
+    bound = 0.9 * 0.95 * scheme.stable_dt(config)
     spec.dt = 10 * bound
     result = run_ap_limit(spec)
-    assert result.extra["dt"] <= bound
-    assert not result.extra["dt_override"]
+    assert result.header["dt_used"] <= bound
+    assert not result.header["dt_override"]
     assert result.rows[0]["steps"] == math.ceil(0.02 / bound)
-    assert result.rows[0]["steps"] * result.extra["dt"] == pytest.approx(0.02, rel=1e-12)
+    assert result.rows[0]["steps"] * result.header["dt_used"] == pytest.approx(0.02, rel=1e-12)
     assert result.rows[0]["rho_distance"] < 1e-2
     spec.force_dt = True
     spec.out = str(tmp_path / "ap.csv")
     result = run_ap_limit(spec)
-    assert result.extra["dt"] == 10 * bound and result.extra["dt_override"]
+    assert result.header["dt_used"] == 10 * bound and result.header["dt_override"]
     assert result.rows[0]["steps"] == max(1, math.ceil(0.02 / (10 * bound)))
     assert "dt_override=1" in (tmp_path / "ap.csv").read_text().splitlines()[0]
 
@@ -518,7 +518,7 @@ def test_is_stable_probe():
     spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1e-6,))
     config = build_config(spec, 16, 1e-6, dt=1.0)
     ic = IC_REGISTRY["sin"]
-    theory = scheme.stable_dt(config).dt_stab
+    theory = scheme.stable_dt(config)
     cfg = scheme.with_dt(config, theory)
     assert is_stable(cfg, scheme.init_state(ic.rho0, ic.g0, cfg), 1.0)
     cfg = scheme.with_dt(config, 50 * theory)

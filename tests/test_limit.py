@@ -61,7 +61,7 @@ def _heat_dt(mesh, k, space):
     config = SchemeConfig(
         eps=0.0, dt=1.0, degree=k, flux=ALT_LR, space=space, mesh=mesh
     )
-    return 0.9 * stable_dt(config).dt_stab
+    return 0.9 * stable_dt(config)
 
 
 def _run_heat(n, k, flux, tmax, m2=1.0):

@@ -142,7 +142,7 @@ def test_stable_dt_telegraph_k0_formula():
         config = _config(space=TELEGRAPH, eps=eps, k=0, n=32)
         h = config.mesh.h
         expected = 0.25 * h * h + 0.5 * eps * h
-        assert stable_dt(config).dt_stab == pytest.approx(expected, rel=1e-15)
+        assert stable_dt(config) == pytest.approx(expected, rel=1e-15)
 
 
 def test_stable_dt_slab_k0_continuum_formula():
@@ -150,7 +150,7 @@ def test_stable_dt_slab_k0_continuum_formula():
         config = _config(space=SLAB, eps=eps, k=0, n=24, continuum_moments=True)
         h = config.mesh.h
         expected = h * h / 3.0 + 2.0 * eps * h / 3.0
-        assert stable_dt(config).dt_stab == pytest.approx(expected, rel=1e-15)
+        assert stable_dt(config) == pytest.approx(expected, rel=1e-15)
 
 
 def test_stable_dt_telegraph_k1_transcription():
@@ -161,16 +161,16 @@ def test_stable_dt_telegraph_k1_transcription():
         config = _config(space=TELEGRAPH, eps=eps, k=1, n=32)
         h = config.mesh.h
         expected = h / (a1 + a2 * a3) * (h + min(eps, a2 * h / a1) * a3)
-        assert stable_dt(config).dt_stab == pytest.approx(expected, rel=1e-12)
+        assert stable_dt(config) == pytest.approx(expected, rel=1e-12)
 
 
 def test_stable_dt_without_bh():
     config = _config(space=TELEGRAPH, eps=1.0, k=0, n=32, include_bh=False)
     h = config.mesh.h
-    assert stable_dt(config).dt_stab == pytest.approx(h * h / 2.0, rel=1e-15)
+    assert stable_dt(config) == pytest.approx(h * h / 2.0, rel=1e-15)
     config = _config(space=TELEGRAPH, eps=1.0, k=2, n=32, include_bh=False)
     inv_c, inv_hat = 9.0, 60.0
-    assert stable_dt(config).dt_stab == pytest.approx(
+    assert stable_dt(config) == pytest.approx(
         h * h / (inv_hat + 4 * inv_c**2), rel=1e-12
     )
     with pytest.raises(ValueError):
@@ -179,7 +179,7 @@ def test_stable_dt_without_bh():
 
 def test_stable_dt_monotone_in_eps():
     values = [
-        stable_dt(_config(space=TELEGRAPH, eps=e, k=1)).dt_stab
+        stable_dt(_config(space=TELEGRAPH, eps=e, k=1))
         for e in (0.0, 1e-4, 1e-2, 1.0)
     ]
     assert values == sorted(values)
@@ -193,7 +193,7 @@ def test_energy_monotone_on_random_data(space, k, flux, eps):
     # shifted energy never increases once n >= 1 when dt <= dt_stab
     rng = np.random.default_rng(abs(hash((space.kind, k, flux, eps))) % 2**32)
     config = _config(space=space, eps=eps, dt=1.0, k=k, flux=flux, n=16)
-    config = with_dt(config, stable_dt(config).dt_stab)
+    config = with_dt(config, stable_dt(config))
     for _ in range(3):
         state = init_state(lambda x: 0 * x, lambda x, v: 0.0 * x, config)
         state.rho.coeff[:] = rng.standard_normal(state.rho.coeff.shape)
