@@ -254,19 +254,18 @@ class StencilStepper:
     def _symbol(self):
         # Fourier symbol of the circulant step map, one block per frequency
         n = self.config.mesh.n_cells
-        freqs = np.arange(n // 2 + 1)
-        symbol = np.zeros((len(freqs), self.block, self.block), dtype=complex)
-        for off in range(-self.REACH, self.REACH + 1):
-            phase = np.exp(-2j * np.pi * freqs * off / n)
-            symbol += phase[:, None, None] * self._mblocks[off + self.REACH][None]
-        return symbol
+        offsets = np.arange(-self.REACH, self.REACH + 1)
+        phase = np.exp(-2j * np.pi * np.outer(np.arange(n // 2 + 1), offsets) / n)
+        return np.tensordot(phase, np.stack(self._mblocks), axes=1)
 
     def propagate(self, packed, n_steps):
         """Apply the step map n_steps times via its Fourier diagonalization.
 
-        The mesh is uniform and periodic, so the step is block-circulant;
-        a batched matrix power per frequency advances arbitrarily many steps
-        at fixed cost.  Differs from literal stepping only at roundoff.
+        The mesh is uniform and periodic, so the step is block-circulant.  Per
+        frequency, squarings of the symbol are batched matrix products and each
+        set bit of n_steps applies the current square to the spectrum as a
+        batched matvec, so the cost grows as log n_steps.  Differs from literal
+        stepping only at roundoff.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
@@ -274,10 +273,8 @@ class StencilStepper:
             for _ in range(n_steps):
                 packed = self.apply(packed)
             return packed
-        power = _batch_matrix_power(self._symbol(), n_steps)
-        spectrum = np.fft.rfft(packed, axis=0)
-        out = np.einsum("fab,fb->fa", power, spectrum)
-        return np.fft.irfft(out, n=self.config.mesh.n_cells, axis=0)
+        spectrum = _apply_matrix_power(self._symbol(), n_steps, np.fft.rfft(packed, axis=0))
+        return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
 
     def g_nodes(self, packed):
         """The g part of a packed state, or of a stack of them, as (..., n_cells, nv, k + 1)."""
@@ -293,30 +290,32 @@ class StencilStepper:
         return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
 
 
-def _batch_matrix_power(mats, exponent):
-    result = np.broadcast_to(np.eye(mats.shape[-1], dtype=mats.dtype), mats.shape).copy()
-    base = mats.copy()
-    while exponent:
+def _apply_matrix_power(mats, exponent, vecs):
+    """mats[f]^exponent @ vecs[f] for each f; overwrites mats.  Powers of one
+    matrix commute, so only the squarings need matrix products."""
+    spare = np.empty_like(mats)
+    while True:
         if exponent & 1:
-            result = base @ result
+            vecs = np.einsum("fab,fb->fa", mats, vecs)
         exponent >>= 1
-        if exponent:
-            base = base @ base
-    return result
+        if not exponent:
+            return vecs
+        np.matmul(mats, mats, out=spare)
+        mats, spare = spare, mats
 
 
 def run_fixed_steps(config, state, n_steps):
-    """Advance n_steps with the compiled propagator.
+    """Advance n_steps with the compiled propagator; zero steps return state.
 
     The stencil is probed on five cells and folded mod N, so this one path
     serves every mesh, N >= 1.
     """
+    if n_steps == 0:
+        return state
     stepper = StencilStepper(config)
-    packed = pack_state(state)
-    prev = stepper.propagate(packed, n_steps - 1) if n_steps >= 1 else packed
-    packed = stepper.apply(prev) if n_steps >= 1 else packed
+    prev = stepper.propagate(pack_state(state), n_steps - 1)
     return unpack_state(
-        packed,
+        stepper.apply(prev),
         config,
         n=state.n + n_steps,
         t=state.t + n_steps * config.dt,

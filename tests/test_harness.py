@@ -359,6 +359,58 @@ def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _propagate_case(model, n_cells):
+    # 2**20 steps of 1e-6 span t ~ 1, so the high powers stay far from the
+    # steady state and one step more or less shows at 1e-12
+    spec = ExperimentSpec(mode="converge", model=model, nv=6, degree=1, cells=(n_cells,))
+    stepper = StencilStepper(build_config(spec, n_cells, 0.3, dt=1e-6))
+    packed = np.random.default_rng(n_cells).standard_normal((n_cells, stepper.block))
+    return stepper, packed
+
+
+def _rel_diff(out, ref):
+    return np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_cells", [7, 16])
+@pytest.mark.parametrize("model", ["slab", "telegraph"])
+def test_propagate_matches_stepping(model, n_cells):
+    stepper, packed = _propagate_case(model, n_cells)
+    stepped, done = packed, 0
+    for n_steps in (9, 255, 256, 1000):
+        for _ in range(n_steps - done):
+            stepped = stepper.apply(stepped)
+        done = n_steps
+        assert _rel_diff(stepper.propagate(packed, n_steps), stepped) <= 1e-12
+    # every bit of the exponent is set, so each matvec of the powering counts
+    n_steps = 2**20 - 1
+    power = np.linalg.matrix_power(stepper._symbol(), n_steps)
+    spectrum = np.einsum("fab,fb->fa", power, np.fft.rfft(packed, axis=0))
+    ref = np.fft.irfft(spectrum, n=n_cells, axis=0)
+    assert _rel_diff(stepper.propagate(packed, n_steps), ref) <= 1e-12
+
+
+def test_propagate_is_pure():
+    # the powering overwrites the symbol, so each call must build its own
+    stepper, packed = _propagate_case("slab", 16)
+    before, blocks = packed.copy(), [m.copy() for m in stepper._mblocks]
+    first = stepper.propagate(packed, 1000)
+    assert np.array_equal(stepper.propagate(packed, 1000), first)
+    assert np.array_equal(packed, before)
+    assert all(np.array_equal(m, b) for m, b in zip(stepper._mblocks, blocks))
+
+
+def test_zero_fixed_steps_return_the_state():
+    spec = ExperimentSpec(mode="solve", model="slab", nv=6, degree=1, cells=(16,), eps=(0.3,))
+    config = build_config(spec, 16, 0.3, dt=2e-4)
+    ic = IC_REGISTRY["sin"]
+    state = scheme.step(scheme.init_state(ic.rho0, ic.g0, config), config)
+    out = run_fixed_steps(config, state, 0)
+    assert (out.n, out.t, out.g_norm_lag) == (state.n, state.t, state.g_norm_lag)
+    assert np.array_equal(out.rho.coeff, state.rho.coeff)
+    assert np.array_equal(out.g.coeff, state.g.coeff)
+
+
 def test_solve_requires_single_case():
     spec = ExperimentSpec(mode="solve", cells=(16, 32), eps=(1.0,))
     with pytest.raises(ValueError):
