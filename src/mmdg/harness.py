@@ -217,11 +217,12 @@ class StencilStepper:
     (n_cells, block).  Blocks are probed from scheme.step itself, which keeps
     this a pure acceleration of the reference stepper.  The step is
     translation-invariant on the uniform periodic mesh, so the blocks depend
-    only on h: they are probed on five cells of the same width, and folding
-    the offsets mod N makes them exact for every N >= 1.  apply gathers each
-    cell's five neighbors (offsets folded mod N) into one (n_cells, 5 block)
-    array and multiplies it by the five transposed blocks stacked into one
-    (5 block, block) matrix.
+    only on h: one step on 2^j >= 5 block cells of width exactly h probes one
+    unit impulse per column, each alone in its five-cell response window, and
+    folding the offsets mod N makes them exact for every N >= 1.  apply
+    gathers each cell's five neighbors (offsets folded mod N) into one
+    (n_cells, 5 block) array and multiplies it by the five transposed blocks
+    stacked into one (5 block, block) matrix.
     """
 
     REACH = 2
@@ -229,24 +230,22 @@ class StencilStepper:
     def __init__(self, config):
         self.config = config
         k1 = config.degree + 1
-        self.block = (1 + config.space.n_nodes) * k1
+        block = self.block = (1 + config.space.n_nodes) * k1
         self._k1 = k1
         self._mass = mass_diagonal(config.degree, config.mesh.h)
         width = 2 * self.REACH + 1
-        mesh = config.mesh
-        probe = replace(config, mesh=Mesh1D(mesh.x_min, mesh.x_min + width * mesh.h, width))
-        blocks = [np.zeros((self.block, self.block)) for _ in range(width)]
-        for b in range(self.block):
-            packed = np.zeros((width, self.block))
-            packed[self.REACH, b] = 1.0
-            out = pack_state(scheme.step(unpack_state(packed, probe), probe))
-            for off in range(width):
-                blocks[off][:, b] = out[off]
-        self._mblocks = blocks
+        n_probe = 1 << (width * block - 1).bit_length()
+        probe = replace(config, mesh=Mesh1D(0.0, n_probe * config.mesh.h, n_probe))
+        # column b: one impulse mid-window in cells b * stride + 0..4, which hold its response
+        window = np.arange(width)[:, None] + (n_probe // block) * np.arange(block)
+        packed = np.zeros((n_probe, block))
+        packed[window[self.REACH], np.arange(block)] = 1.0
+        out = pack_state(scheme.step(unpack_state(packed, probe), probe))
+        self._mblocks = np.swapaxes(out[window], 1, 2)  # [off][:, b] is cell window[off, b]
         # row i of the gather holds cells i + REACH - j, the source of block j
-        n = mesh.n_cells
+        n = config.mesh.n_cells
         self._gather = (np.arange(n)[:, None] + self.REACH - np.arange(width)) % n
-        self._stacked = np.concatenate([m.T for m in blocks])
+        self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(width * block, block)
 
     def apply(self, packed):
         return packed[self._gather].reshape(len(packed), -1) @ self._stacked
@@ -256,7 +255,7 @@ class StencilStepper:
         n = self.config.mesh.n_cells
         offsets = np.arange(-self.REACH, self.REACH + 1)
         phase = np.exp(-2j * np.pi * np.outer(np.arange(n // 2 + 1), offsets) / n)
-        return np.tensordot(phase, np.stack(self._mblocks), axes=1)
+        return np.tensordot(phase, self._mblocks, axes=1)
 
     def propagate(self, packed, n_steps):
         """Apply the step map n_steps times via its Fourier diagonalization.
@@ -264,15 +263,12 @@ class StencilStepper:
         The mesh is uniform and periodic, so the step is block-circulant.  Per
         frequency, squarings of the symbol are batched matrix products and each
         set bit of n_steps applies the current square to the spectrum as a
-        batched matvec, so the cost grows as log n_steps.  Differs from literal
-        stepping only at roundoff.
+        batched matvec, so the cost grows as log n_steps.  Every step count,
+        zero included, takes this path, and differs from literal stepping only
+        at roundoff.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        if n_steps <= 8:
-            for _ in range(n_steps):
-                packed = self.apply(packed)
-            return packed
         spectrum = _apply_matrix_power(self._symbol(), n_steps, np.fft.rfft(packed, axis=0))
         return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
 
@@ -307,7 +303,7 @@ def _apply_matrix_power(mats, exponent, vecs):
 def run_fixed_steps(config, state, n_steps):
     """Advance n_steps with the compiled propagator; zero steps return state.
 
-    The stencil is probed on five cells and folded mod N, so this one path
+    The stencil is probed at the mesh's h and folded mod N, so this one path
     serves every mesh, N >= 1.
     """
     if n_steps == 0:
@@ -510,17 +506,21 @@ REF_FACTOR_T = 16  # and the finest dt divided by this
 def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
-    A level's dt is proportional to h^(k+1), capped by the stable step.  The
-    reference is None where the exact limit solution serves instead.
+    A level's dt is proportional to h^(k+1), capped by the stable step; the
+    first one obeys resolve_dt's budget.  The reference is None where the
+    exact limit solution serves instead.
     """
     levels = []
     anchor = None
     for n in cells:
         config = build_config(spec, n, eps, dt=1.0)
-        cap = spec.safety * scheme.stable_dt(config)
+        dt_stab = scheme.stable_dt(config)
+        cap = spec.safety * dt_stab
         h = config.mesh.h
         if anchor is None:
             base = min(spec.dt, cap) if spec.dt is not None else cap
+            if base < ExperimentSpec.safety * dt_stab:
+                _check_budget(spec.tmax, base)
             anchor = base / h ** (spec.degree + 1)
             dt = base
         else:

@@ -124,8 +124,10 @@ def _forbid_steps(monkeypatch):
         ("converge --k 1 --cells 64,128,256 --eps 1e-2,1e154 --tmax 0.1", "is too large"),
         # every probe's dt is at least dt_stab, which plans about 1.8e9 steps
         ("stability-scan --k 0 --cells 8 --eps 1 --tmax 1e9", "over the budget"),
+        # the user dt of the first level plans 1e299 steps
+        ("converge --k 1 --cells 8,16,32 --eps 0.1 --dt 1e-300 --tmax 0.1", "over the budget"),
     ],
-    ids=["scan-eps", "scan-energy", "converge-eps", "scan-budget"],
+    ids=["scan-eps", "scan-energy", "converge-eps", "scan-budget", "converge-budget"],
 )
 def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
     _forbid_steps(monkeypatch)

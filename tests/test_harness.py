@@ -339,8 +339,14 @@ def test_diverging_runs_emit_no_warning():
 
 @pytest.mark.parametrize(
     "case",
-    [dict(model="slab", nv=6, degree=2), dict(degree=0), dict(degree=1)],
-    ids=["slab-k2", "telegraph-k0", "telegraph-k1"],
+    [
+        dict(model="slab", nv=6, degree=2),
+        dict(degree=0),
+        dict(degree=1),
+        # the one flux whose +-2 blocks are nonzero
+        dict(degree=1, flux="central"),
+    ],
+    ids=["slab-k2", "telegraph-k0", "telegraph-k1", "telegraph-k1-central"],
 )
 @pytest.mark.parametrize("n_cells", range(1, 8))
 def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
@@ -357,6 +363,21 @@ def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
     out = stepper.apply(packed)
     for ref in (rolled, stepped):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_stencil_build_steps_once_at_the_mesh_width(monkeypatch):
+    # five cells of width h = 2 pi / 13 span a mesh whose own width is not h
+    spec = ExperimentSpec(mode="solve", cells=(13,), eps=(0.3,))
+    config = build_config(spec, 13, 0.3, dt=0.05)
+    widths, step = [], scheme.step
+
+    def recorded(state, probe):
+        widths.append(probe.mesh.h)
+        return step(state, probe)
+
+    monkeypatch.setattr(scheme, "step", recorded)
+    StencilStepper(config)
+    assert widths == [config.mesh.h]
 
 
 def _propagate_case(model, n_cells):
@@ -377,7 +398,7 @@ def _rel_diff(out, ref):
 def test_propagate_matches_stepping(model, n_cells):
     stepper, packed = _propagate_case(model, n_cells)
     stepped, done = packed, 0
-    for n_steps in (9, 255, 256, 1000):
+    for n_steps in (0, 1, 2, 8, 9, 255, 256, 1000):
         for _ in range(n_steps - done):
             stepped = stepper.apply(stepped)
         done = n_steps
