@@ -8,7 +8,6 @@ deterministic for a fixed spec (fixed evaluation order, no time-based seeds,
 17-digit float formatting).
 """
 
-import csv
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -40,16 +39,9 @@ class InitialCondition:
     q0: callable
 
 
-def _sin_rho(x):
-    return np.sin(x)
-
-
-def _sin_g(x, v):
-    return -v * np.cos(x)
-
-
-def _sin_q(x, m2):
-    return -m2 * np.cos(x)
+def _well_prepared(rho0, drho0):
+    """Data on the limit's manifold: g0 = -v rho0' and the limit flux q0 = -m2 rho0'."""
+    return InitialCondition(rho0, lambda x, v: -v * drho0(x), lambda x, m2: -m2 * drho0(x))
 
 
 def _ill_g(x, v):
@@ -72,18 +64,17 @@ def _bump_drho(x):
     return -2.0 * _BUMP_WIDTH * (x - np.pi) * _bump_rho(x)
 
 
-def _bump_g(x, v):
-    return -v * _bump_drho(x)
-
-
-def _bump_q(x, m2):
-    return -m2 * _bump_drho(x)
-
-
 IC_REGISTRY = {
-    "sin": InitialCondition(_sin_rho, _sin_g, _sin_q),
-    "ill-prepared": InitialCondition(_sin_rho, _ill_g, _ill_q),
-    "bump": InitialCondition(_bump_rho, _bump_g, _bump_q),
+    "sin": _well_prepared(np.sin, np.cos),
+    "ill-prepared": InitialCondition(np.sin, _ill_g, _ill_q),
+    "bump": _well_prepared(_bump_rho, _bump_drho),
+}
+
+
+_UNREAD_OPTIONS = {  # step options a mode never reads: only their defaults pass
+    "solve": ("c0",),
+    "converge": ("c0",),
+    "stability-scan": ("dt", "force_dt", "safety", "c0"),
 }
 
 
@@ -111,6 +102,9 @@ class ExperimentSpec:
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        for name in _UNREAD_OPTIONS.get(self.mode, ()):
+            if getattr(self, name) != getattr(ExperimentSpec, name):
+                raise ValueError(f"{self.mode} does not read --{name.replace('_', '-')}")
         if self.model not in MODELS:
             raise ValueError(f"model must be telegraph or slab, got {self.model!r}")
         check_flux(self.flux)
@@ -383,7 +377,7 @@ def is_stable(config, state, tmax):
     tmax still get a chance to exhibit growth; since the guaranteed decay
     holds for every n, the extra steps can never flip a provably stable run.
     """
-    n_steps = max(MIN_PROBE_STEPS, math.ceil(tmax / config.dt - 1e-12))
+    n_steps = max(MIN_PROBE_STEPS, _steps_for(tmax, config.dt, exact_dt=True)[0])
     _, ok = energy_history(config, state, n_steps, stop_factor=GROWTH_LIMIT)
     return ok
 
@@ -399,12 +393,8 @@ def _initial_state(spec, config):
 
 def write_csv(path, spec, columns, rows, header):
     """Rows under one '# key=value;...' line: the spec's fields, then the header's."""
-    with open(path, "w", newline="") as fh:
-        fh.write(scheme.header_line({**asdict(spec), **header}))
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([scheme.format_value(row[c]) for c in columns])
+    table = ([row[c] for c in columns] for row in rows)
+    scheme.write_table(path, {**asdict(spec), **header}, columns, table)
 
 
 @dataclass
@@ -506,25 +496,20 @@ REF_FACTOR_T = 16  # and the finest dt divided by this
 def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
-    A level's dt is proportional to h^(k+1), capped by the stable step; the
-    first one obeys resolve_dt's budget.  The reference is None where the
-    exact limit solution serves instead.
+    The first level's dt is resolve_dt's; each finer level's is proportional
+    to h^(k+1), capped by safety * dt_stab.  Every level, a forced one too,
+    shrinks its step to land on tmax, where the errors are measured.  The
+    reference is None where the exact limit solution serves instead.
     """
     levels = []
-    anchor = None
     for n in cells:
         config = build_config(spec, n, eps, dt=1.0)
-        dt_stab = scheme.stable_dt(config)
-        cap = spec.safety * dt_stab
-        h = config.mesh.h
-        if anchor is None:
-            base = min(spec.dt, cap) if spec.dt is not None else cap
-            if base < ExperimentSpec.safety * dt_stab:
-                _check_budget(spec.tmax, base)
-            anchor = base / h ** (spec.degree + 1)
-            dt = base
+        h_power = config.mesh.h ** (spec.degree + 1)
+        if not levels:
+            dt, _ = resolve_dt(spec, config)
+            anchor = dt / h_power
         else:
-            dt = min(anchor * h ** (spec.degree + 1), cap)
+            dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
         n_steps, dt = _steps_for(spec.tmax, dt, exact_dt=False)
         levels.append((scheme.with_dt(config, dt), n_steps))
     if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
@@ -686,9 +671,10 @@ def run_ap_limit(spec):
     lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), config0.mesh, spec.degree)
     for _ in range(n_steps):
         lim = step_limit(lim, dt, spec.flux, m2)
+    state0 = scheme.init_state(ic.rho0, ic.g0, config0)  # eps-free, and step is pure
     rows = []
     for config in configs:
-        state = scheme.init_state(ic.rho0, ic.g0, config)
+        state = state0
         for _ in range(n_steps):
             state = scheme.step(state, config)
         rows.append(

@@ -157,6 +157,15 @@ def header_line(items):
     return "# " + ";".join(f"{key}={format_value(v)}" for key, v in items.items()) + "\n"
 
 
+def write_table(path, header, columns, rows):
+    """Every output file: header line, column names, then rows, values by format_value."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header_line(header))
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([format_value(v) for v in row] for row in rows)
+
+
 def save_state(state, config, path):
     """Checkpoint: header with run metadata, then one row per coefficient."""
     mesh, space = config.mesh, config.space
@@ -166,22 +175,15 @@ def save_state(state, config, path):
         model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
         continuum_moments=int(config.continuum_moments), g_norm_lag=state.g_norm_lag,
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(header_line(meta))
-        writer = csv.writer(fh)
-        writer.writerow(["field", "node", "cell", "x_left", "mode", "coefficient"])
-        edges = config.mesh.edges()
-        for i in range(config.mesh.n_cells):
-            for j in range(config.degree + 1):
-                writer.writerow(
-                    ["rho", -1, i, f"{edges[i]:.17g}", j, f"{state.rho.coeff[i, j]:.17g}"]
-                )
-        for q in range(config.space.n_nodes):
-            for i in range(config.mesh.n_cells):
-                for j in range(config.degree + 1):
-                    writer.writerow(
-                        ["g", q, i, f"{edges[i]:.17g}", j, f"{state.g.coeff[q, i, j]:.17g}"]
-                    )
+    edges = mesh.edges()
+    parts = [("rho", -1, state.rho.coeff)] + [("g", q, c) for q, c in enumerate(state.g.coeff)]
+    rows = (
+        (name, q, i, edges[i], j, coeff[i, j])
+        for name, q, coeff in parts
+        for i in range(mesh.n_cells)
+        for j in range(config.degree + 1)
+    )
+    write_table(path, meta, ["field", "node", "cell", "x_left", "mode", "coefficient"], rows)
 
 
 def load_state(path):

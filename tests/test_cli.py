@@ -104,6 +104,9 @@ def test_overflowing_eps_exits_cleanly(argv, capsys):
     assert "Traceback" not in err
 
 
+_SCAN = "stability-scan --k 0 --cells 8 --eps 1 --tmax 0.1"
+
+
 def _forbid_steps(monkeypatch):
     # any step, stencil build or limit step fails the test
     def refuse(*args, **kwargs):
@@ -126,8 +129,28 @@ def _forbid_steps(monkeypatch):
         ("stability-scan --k 0 --cells 8 --eps 1 --tmax 1e9", "over the budget"),
         # the user dt of the first level plans 1e299 steps
         ("converge --k 1 --cells 8,16,32 --eps 0.1 --dt 1e-300 --tmax 0.1", "over the budget"),
+        # step options the mode never reads: the scan probes its own steps,
+        # and only ap-limit shrinks its bound by c0
+        (_SCAN + " --dt 5 --force-dt --safety 0.1 --c0 0.5", "does not read --dt"),
+        (_SCAN + " --force-dt", "does not read --force-dt"),
+        (_SCAN + " --safety 0.1", "does not read --safety"),
+        (_SCAN + " --c0 0.5", "does not read --c0"),
+        ("solve --k 0 --cells 8 --eps 1 --tmax 0.1 --c0 0.5", "does not read --c0"),
+        ("converge --k 1 --cells 8,16,32 --eps 0.1 --tmax 0.1 --c0 0.5", "does not read --c0"),
     ],
-    ids=["scan-eps", "scan-energy", "converge-eps", "scan-budget", "converge-budget"],
+    ids=[
+        "scan-eps",
+        "scan-energy",
+        "converge-eps",
+        "scan-budget",
+        "converge-budget",
+        "scan-step-options",
+        "scan-force-dt",
+        "scan-safety",
+        "scan-c0",
+        "solve-c0",
+        "converge-c0",
+    ],
 )
 def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
     _forbid_steps(monkeypatch)
@@ -211,6 +234,23 @@ def test_force_dt_flow(tmp_path, capsys):
     assert code == 0  # flagged instability demos still exit cleanly
     assert "instability flagged" in capsys.readouterr().err
     assert "dt_override=1" in out.read_text().splitlines()[0]
+
+
+def _converge_rows(tmp_path, extra):
+    out = str(tmp_path / "conv.csv")
+    argv = "converge --k 1 --cells 8,16,32 --eps 0.1 --tmax 0.1".split()
+    assert main(argv + extra + ["--out", out]) == 0
+    with open(out, newline="") as fh:
+        return fh.read().splitlines()[2:]
+
+
+def test_converge_forced_dt(tmp_path):
+    # a forced step runs unclamped on the first level, 10 steps to tmax, and
+    # the finer levels scale it by h^2; unforced, it is clamped to the bound
+    forced = _converge_rows(tmp_path, ["--dt", "0.01", "--force-dt"])
+    dts = [float(row.split(",")[2]) for row in forced]
+    assert dts == pytest.approx([0.01, 0.0025, 0.000625], rel=1e-12)
+    assert _converge_rows(tmp_path, ["--dt", "0.01"]) == _converge_rows(tmp_path, [])
 
 
 def test_config_file_merge(tmp_path):
@@ -306,3 +346,37 @@ def test_header_bytes_pinned(mode, tmp_path):
     if mode == "solve":
         with open(out + ".state.csv", newline="") as fh:
             assert fh.readline() == STATE_HEADER + "\n"
+
+
+# the whole CSV and checkpoint of a two-cell solve, every row included; the
+# rows end in csv's \r\n, the header lines in \n
+TINY_SOLVE = (
+    "# mode=solve;model=telegraph;nv=8;degree=0;cells=2;eps=0.5;dt=None;flux=alt-lr;"
+    "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
+    "continuum_moments=False;dt_used=0.01;dt_override=0;growth_limit=10\n"
+    "n,t,energy,rho_norm,g_norm,mean_g_norm,mass,status\r\n"
+    "0,0,2.3856672960579304,1.5445605511141123,2.7829164246717666e-16,0,0,ok\r\n"
+    "1,0.01,2.3856672960579304,1.5445605511141123,0.037819145633007895,0,0,ok\r\n"
+)
+
+TINY_STATE = (
+    "# n=1;t=0.01;eps=0.5;dt=0.01;degree=0;n_cells=2;x_min=0;x_max=6.2831853071795862;"
+    "flux=alt-lr;model=discrete-two-point;nv=2;include_bh=1;continuum_moments=0;"
+    "g_norm_lag=2.7829164246717666e-16\n"
+    "field,node,cell,x_left,mode,coefficient\r\n"
+    "rho,-1,0,0,0,0.61619050847955759\r\n"
+    "rho,-1,1,3.1415926535897931,0,-0.61619050847955759\r\n"
+    "g,0,0,0,0,-0.015087656201666055\r\n"
+    "g,0,1,3.1415926535897931,0,0.015087656201666055\r\n"
+    "g,1,0,0,0,0.015087656201666055\r\n"
+    "g,1,1,3.1415926535897931,0,-0.015087656201666055\r\n"
+)
+
+
+def test_whole_file_bytes_pinned(tmp_path):
+    out = str(tmp_path / "out.csv")
+    assert main("solve --k 0 --cells 2 --eps 0.5 --tmax 0.01".split() + ["--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert fh.read() == TINY_SOLVE.format(out=out)
+    with open(out + ".state.csv", newline="") as fh:
+        assert fh.read() == TINY_STATE
