@@ -55,14 +55,17 @@ def legendre_basis(degree):
     return LegendreBasis(degree)
 
 
+@lru_cache(maxsize=None)
 def mass_diagonal(degree, h):
-    """Diagonal of the cell mass matrix for a cell of width h.
+    """Diagonal of the cell mass matrix for a cell of width h, read-only and shared.
 
     Entry j is h/(2j+1), from the affine map x = x_c + (h/2) xi.
     """
     if h <= 0:
         raise ValueError(f"cell width must be positive, got {h}")
-    return h / (2.0 * np.arange(degree + 1) + 1.0)
+    weights = h / (2.0 * np.arange(degree + 1) + 1.0)
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,13 @@ def interface_traces(field):
     basis = legendre_basis(field.degree)
     right_of_cell = field.coeff @ basis.at_right
     left_of_cell = field.coeff @ basis.at_left
-    return np.roll(right_of_cell, 1, axis=-1), left_of_cell
+    return periodic_shift(right_of_cell, 1), left_of_cell
+
+
+def periodic_shift(values, shift):
+    """np.roll(values, shift, axis=-1) as two slices and one concatenation."""
+    cut = values.shape[-1] - shift % values.shape[-1]
+    return np.concatenate((values[..., cut:], values[..., :cut]), axis=-1)
 
 
 def l2_error(field, exact, n_points=None):

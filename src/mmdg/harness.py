@@ -242,7 +242,7 @@ class StencilStepper:
         self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(width * block, block)
 
     def apply(self, packed):
-        return packed[self._gather].reshape(len(packed), -1) @ self._stacked
+        return np.take(packed, self._gather, axis=0).reshape(len(packed), -1) @ self._stacked
 
     def _symbol(self):
         # Fourier symbol of the circulant step map, one block per frequency

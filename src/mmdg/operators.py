@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import legendre_basis, mass_diagonal
-from .fields import DGField, KineticField, interface_traces
+from .fields import DGField, KineticField, interface_traces, periodic_shift
 
 ALT_LR = "alt-lr"
 ALT_RL = "alt-rl"
@@ -62,7 +62,7 @@ def _weak_form(vol, uhat, degree, h):
     (interfaces on the last axis).
     """
     at_left = legendre_basis(degree).at_left
-    form = -vol - uhat[..., None] * at_left + np.roll(uhat, -1, axis=-1)[..., None]
+    form = -vol - uhat[..., None] * at_left + periodic_shift(uhat, -1)[..., None]
     return form / mass_diagonal(degree, h)
 
 

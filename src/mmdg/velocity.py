@@ -59,10 +59,11 @@ class VelocitySpace:
         values = np.asarray(values)
         if values.shape[axis] != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} velocity entries, got {values.shape[axis]}")
-        values = np.moveaxis(values, axis, 0)
+        if axis != 0:
+            values = np.moveaxis(values, axis, 0)
         half = self.n_nodes // 2
         folded = combine(values[half:], values[half - 1 :: -1])
-        return np.tensordot(weights[half:], folded, axes=(0, 0))
+        return (weights[half:] @ folded.reshape(half, -1)).reshape(folded.shape[1:])
 
     def moments(self):
         v = self.nodes

@@ -32,6 +32,14 @@ def test_mass_diagonal_examples():
     assert np.allclose(mass_diagonal(2, 1.0), [1.0, 1.0 / 3.0, 1.0 /  5.0])
     with pytest.raises(ValueError):
         mass_diagonal(1, 0.0)
+    # the weights are cached and shared, so no caller may write to them, and
+    # a refused width stays refused on the next call
+    with pytest.raises(ValueError):
+        mass_diagonal(1, 2.0)[0] = 1.0
+    assert mass_diagonal(1, 2.0) is mass_diagonal(1, 2.0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mass_diagonal(1, -1.0)
 
 
 def test_inverse_constants_k0():

@@ -380,3 +380,40 @@ def test_whole_file_bytes_pinned(tmp_path):
         assert fh.read() == TINY_SOLVE.format(out=out)
     with open(out + ".state.csv", newline="") as fh:
         assert fh.read() == TINY_STATE
+
+
+# the whole CSV of two small ap-limit runs, every row included: each row
+# steps scheme.step at k >= 1, so a reordered sum in the weak form, the
+# velocity fold or the mass inversion moves these bytes
+AP_LIMIT_FILES = {
+    "slab-k2": (
+        "ap-limit --model slab --nv 4 --k 2 --cells 6 --eps 1e-2,1e-8,0 --tmax 0.01",
+        "# mode=ap-limit;model=slab;nv=4;degree=2;cells=6;eps=0.01,1e-08,0;dt=None;"
+        "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
+        "force_dt=False;continuum_moments=False;dt_used=0.002;dt_override=0\n"
+        "eps,steps,rho_distance,q_distance\r\n"
+        "0.01,5,6.4864418971180091e-05,0.00057774291100373665\r\n"
+        "1e-08,5,5.4531032299026405e-11,6.7116813717838959e-10\r\n"
+        "0,5,2.1485240331677702e-19,1.8368415966654477e-17\r\n",
+    ),
+    "telegraph-central-k1": (
+        "ap-limit --k 1 --flux central --cells 8 --eps 1e-1,1e-6,0 --tmax 0.01",
+        "# mode=ap-limit;model=telegraph;nv=8;degree=1;cells=8;"
+        "eps=0.10000000000000001,9.9999999999999995e-07,0;dt=None;flux=central;"
+        "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
+        "continuum_moments=False;dt_used=0.0033333333333333335;dt_override=0\n"
+        "eps,steps,rho_distance,q_distance\r\n"
+        "0.10000000000000001,3,0.004585318079115829,0.18002207563197226\r\n"
+        "9.9999999999999995e-07,3,2.543076080918378e-08,2.4805044808796005e-06\r\n"
+        "0,3,0,0\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", AP_LIMIT_FILES)
+def test_ap_limit_file_bytes_pinned(case, tmp_path):
+    argv, expected = AP_LIMIT_FILES[case]
+    out = str(tmp_path / "ap.csv")
+    assert main(argv.split() + ["--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert fh.read() == expected.format(out=out)

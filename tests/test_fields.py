@@ -21,6 +21,7 @@ from mmdg.fields import (
     interface_traces,
     l2_distance,
     l2_error,
+    periodic_shift,
     project,
     project_kinetic,
 )
@@ -147,6 +148,14 @@ def test_wraparound_jump_single_cell():
     minus, plus = interface_traces(field)
     assert minus[0] == pytest.approx(2.0, abs=1e-13)
     assert plus[0] == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_periodic_shift_is_roll_on_last_axis(n):
+    values = np.arange(3.0 * n).reshape(3, n)
+    for shift in (-n - 1, -1, 0, 1, n, 2 * n + 3):
+        shifted = periodic_shift(values, shift)
+        assert shifted.tobytes() == np.roll(values, shift, axis=-1).tobytes()
 
 
 def test_kinetic_traces_are_per_node():
