@@ -181,11 +181,9 @@ def periodic_shift(values, shift):
     return np.concatenate((values[..., cut:], values[..., :cut]), axis=-1)
 
 
-def l2_error(field, exact, n_points=None):
+def l2_error(field, exact):
     """Quadrature L2 distance between a field and a pointwise function."""
-    if n_points is None:
-        n_points = field.degree + 3
-    x, nodes, weights = field.mesh.quad_points(n_points)
+    x, nodes, weights = field.mesh.quad_points(field.degree + 3)
     vand = legendre_basis(field.degree).vandermonde(nodes)
     vals = field.coeff @ vand.T
     diff = vals - np.asarray(exact(x), dtype=float)
@@ -196,8 +194,10 @@ def l2_distance(coarse, fine):
     """Quadrature L2 distance between fields on nested meshes.
 
     The second field's mesh must refine the first's (same domain, cell
-    count an integer multiple).
+    count an integer multiple), and both fields must share one degree.
     """
     if fine.mesh.n_cells % coarse.mesh.n_cells != 0:
         raise ValueError("meshes do not nest")
-    return l2_error(fine, coarse.eval, max(coarse.degree, fine.degree) + 3)
+    if fine.degree != coarse.degree:
+        raise ValueError("fields have different degrees")
+    return l2_error(fine, coarse.eval)

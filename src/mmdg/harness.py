@@ -124,6 +124,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown initial condition {self.ic!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
+        if self.continuum_moments and self.model != "slab":
+            raise ValueError("--continuum-moments only applies to the slab model")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"output directory of {self.out!r} does not exist")
         return self
@@ -271,7 +273,8 @@ class StencilStepper:
         return packed[..., self._k1 :].reshape(*packed.shape[:-1], -1, self._k1)
 
     def rho_norm_sq(self, packed):
-        """||rho||^2 of a packed state, or one per state of a stack."""
+        """||rho||^2 of a packed state, or one per state of a stack.  It reads only the
+        first k + 1 columns, so it also gives ||.||^2 of any stack of scalar fields."""
         return np.einsum("...ij,j->...", packed[..., : self._k1] ** 2, self._mass)
 
     def g_norm_sq(self, packed):
@@ -391,10 +394,11 @@ def _initial_state(spec, config):
     return state
 
 
-def write_csv(path, spec, columns, rows, header):
-    """Rows under one '# key=value;...' line: the spec's fields, then the header's."""
-    table = ([row[c] for c in columns] for row in rows)
-    scheme.write_table(path, {**asdict(spec), **header}, columns, table)
+def write_csv(path, spec, rows, header):
+    """Rows under one '# key=value;...' line: the spec's fields, then the header's.
+    Every row is built from one dict literal, so the first row's keys name the columns."""
+    table = (row.values() for row in rows)
+    scheme.write_table(path, {**asdict(spec), **header}, list(rows[0]), table)
 
 
 @dataclass
@@ -404,7 +408,6 @@ class RunResult:
     (solve, stability-scan)."""
 
     spec: ExperimentSpec
-    columns: list
     rows: list
     diverged: bool = False
     diverge_step: int = None
@@ -413,10 +416,7 @@ class RunResult:
 
     def write(self):
         if self.spec.out:
-            write_csv(self.spec.out, self.spec, self.columns, self.rows, self.header)
-
-
-SOLVE_COLUMNS = ["n", "t", "energy", "rho_norm", "g_norm", "mean_g_norm", "mass", "status"]
+            write_csv(self.spec.out, self.spec, self.rows, self.header)
 
 
 def run_solve(spec):
@@ -431,7 +431,6 @@ def run_solve(spec):
     state = _initial_state(spec, config)
 
     stepper = StencilStepper(config)
-    mass_weights = mass_diagonal(config.degree, config.mesh.h)
     rows = []
     for states, energies, ok, rho_sq, g_sq, lag_sq in _stencil_march(
         stepper, pack_state(state), n_steps, GROWTH_LIMIT
@@ -441,7 +440,7 @@ def run_solve(spec):
             energies.tolist(),
             np.sqrt(rho_sq).tolist(),
             np.sqrt(g_sq).tolist(),
-            np.sqrt(np.einsum("...ij,j->...", mean_g**2, mass_weights)).tolist(),
+            np.sqrt(stepper.rho_norm_sq(mean_g)).tolist(),
             (states[..., 0].sum(axis=-1) * config.mesh.h).tolist(),
         )
         for en, rho_norm, g_norm, mean_g_norm, mass in monitors:
@@ -464,7 +463,6 @@ def run_solve(spec):
 
     result = RunResult(
         spec=spec,
-        columns=SOLVE_COLUMNS,
         rows=rows,
         diverged=not ok,
         diverge_step=None if ok else n,
@@ -476,17 +474,6 @@ def run_solve(spec):
         scheme.save_state(state, config, spec.out + ".state.csv")
     return result
 
-
-CONVERGE_COLUMNS = [
-    "eps",
-    "n_cells",
-    "dt",
-    "err_rho",
-    "order_rho",
-    "err_g",
-    "order_g",
-    "flag",
-]
 
 _DIFFUSIVE_EPS = 1e-6  # below this, compare against the exact limit solution
 REF_FACTOR_X = 4  # reference run: this many times the finest cell count
@@ -578,12 +565,11 @@ def run_convergence(spec):
                     row["flag"] = "non-monotone"
             rows.append(row)
             prev = row
-    result = RunResult(spec=spec, columns=CONVERGE_COLUMNS, rows=rows)
+    result = RunResult(spec=spec, rows=rows)
     result.write()
     return result
 
 
-SCAN_COLUMNS = ["eps", "n_cells", "dt_stab", "dt_empirical", "ratio", "flag"]
 MAX_DOUBLINGS = 60
 
 
@@ -639,14 +625,9 @@ def run_stability_scan(spec):
                 "flag": flag,
             }
         )
-    result = RunResult(
-        spec=spec, columns=SCAN_COLUMNS, rows=rows, header={"growth_limit": GROWTH_LIMIT}
-    )
+    result = RunResult(spec=spec, rows=rows, header={"growth_limit": GROWTH_LIMIT})
     result.write()
     return result
-
-
-AP_COLUMNS = ["eps", "steps", "rho_distance", "q_distance"]
 
 
 def run_ap_limit(spec):
@@ -656,7 +637,8 @@ def run_ap_limit(spec):
     are coefficient-space L2 norms on the shared mesh.  The step follows
     solve's dt policy, landing on tmax, with the zero-eps stable step shrunk
     by the margin c0, the strict-inequality gap the limit analysis asks for.
-    Kinetic runs take scheme.step, so eps = 0 matches the limit bit for bit.
+    Kinetic runs take scheme.step: at eps = 0 telegraph matches the limit bit
+    for bit, slab at roundoff (its <v g> sums w_q v_q^2 where the limit has m2).
     """
     spec.validate()
     if len(spec.cells) != 1:
@@ -686,7 +668,7 @@ def run_ap_limit(spec):
             }
         )
     header = {"dt_used": dt, "dt_override": int(overrode)}
-    result = RunResult(spec=spec, columns=AP_COLUMNS, rows=rows, header=header)
+    result = RunResult(spec=spec, rows=rows, header=header)
     result.write()
     return result
 

@@ -133,7 +133,7 @@ def stable_dt(config):
             return h * h / (inv.c_inv_hat + 4.0 * inv.c_inv**2)
         return h * h / (2.0 * inv.c_inv**2)
     if config.degree >= 1:
-        eps_cap = min(config.eps, a2 * h / a1) if a1 > 0 else config.eps
+        eps_cap = min(config.eps, a2 * h / a1)
         return h / (a1 + a2 * a3) * (h + eps_cap * a3)
     return 2.0 * h / (a2 * a3) * (h + a3 * config.eps)
 

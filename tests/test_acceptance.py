@@ -12,11 +12,12 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from mmdg import scheme
-from mmdg.basis import inverse_constants, legendre_basis
+from mmdg.basis import inverse_constants, legendre_basis, mass_diagonal
 from mmdg.fields import DGField, KineticField, Mesh1D, l2_error
 from mmdg.harness import (
     IC_REGISTRY,
     ExperimentSpec,
+    StencilStepper,
     build_config,
     energy_history,
     run_ap_limit,
@@ -497,3 +498,93 @@ def test_c9_dense_step_oracle():
                 )
                 ok &= np.max(np.abs(got - oracle @ flat)) <= 1e-13
     _report("C9 dense one-step oracle", ok)
+
+
+# -- 10: the energy theorem, certified on the Fourier symbol ----------------
+
+
+def _lagged_energy_norm(config):
+    """Largest weighted 2-norm over frequencies of the lagged one-step map.
+
+    The energy E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 pairs rho^n with
+    g^{n-1}, so decay for all data means the map L: (rho^n, g^{n-1}) ->
+    (rho^{n+1}, g^n) has norm <= 1 in the energy's weights on mean-free g.
+    Per frequency L follows from the step's symbol G (rho modes first, then
+    g node by node): G_rr = I, and with H = G_gg - G_gr G_rg,
+    L = [[I + G_rg G_gr, G_rg H], [G_gr, H]].
+    """
+    symbol = StencilStepper(config)._symbol()
+    k1 = config.degree + 1
+    rho, g = slice(None, k1), slice(k1, None)
+    assert all(np.array_equal(block, np.eye(k1)) for block in symbol[:, rho, rho])
+    g_rho, rho_g = symbol[:, g, rho], symbol[:, rho, g]
+    h_map = symbol[:, g, g] - g_rho @ rho_g
+    lagged = np.concatenate(
+        [
+            np.concatenate([np.eye(k1) + rho_g @ g_rho, rho_g @ h_map], axis=2),
+            np.concatenate([g_rho, h_map], axis=2),
+        ],
+        axis=1,
+    )
+    mass = mass_diagonal(config.degree, config.mesh.h)
+    weights = config.space.weights
+    scale = np.concatenate([np.sqrt(mass), config.eps * np.sqrt(np.outer(weights, mass)).ravel()])
+    # column j holds sqrt(w_q) at (q, j): in the scaled variables, the unit
+    # direction of the velocity mean of g's mode j
+    means = np.zeros((len(scale), k1))
+    means[k1:] = np.kron(np.sqrt(weights)[:, None], np.eye(k1))
+    mean_free = np.eye(len(scale)) - means @ means.T
+    scaled = scale[:, None] * lagged / scale @ mean_free
+    return np.linalg.norm(scaled, ord=2, axis=(1, 2)).max()
+
+
+def _telegraph_k0(n, eps, include_bh=True):
+    spec = ExperimentSpec(mode="solve", model="telegraph", degree=0, cells=(n,),
+                          eps=(eps,), include_bh=include_bh)
+    return build_config(spec, n, eps, dt=1.0)
+
+
+def test_c10_energy_theorem_certificate():
+    # The paper's main theorem: E_{n+1} <= E_n for every datum once
+    # dt <= dt_stab, uniformly in eps.  Checked on the symbol of the step,
+    # frequency by frequency, rather than through marches of chosen data.
+    start = time.perf_counter()
+    tolerance = 1e-10  # roundoff, amplified by the 1/eps weights
+    variants = {
+        "telegraph": dict(model="telegraph"),
+        "telegraph no-bh": dict(model="telegraph", include_bh=False),
+        "slab nv=4": dict(model="slab", nv=4),
+        "slab nv=8": dict(model="slab", nv=8),
+        "slab nv=4 continuum": dict(model="slab", nv=4, continuum_moments=True),
+        "slab nv=8 continuum": dict(model="slab", nv=8, continuum_moments=True),
+    }
+    worst, where, cases = 0.0, "", 0
+    for label, options in variants.items():
+        for k in range(5):
+            for flux in (ALT_LR, ALT_RL, CENTRAL):
+                for eps in (1e-6, 1e-2, 1.0, 10.0):
+                    for n in (5, 16, 64):
+                        spec = ExperimentSpec(mode="solve", degree=k, cells=(n,), eps=(eps,),
+                                              flux=flux, **options)
+                        config = build_config(spec, n, eps, dt=1.0)
+                        config = scheme.with_dt(config, scheme.stable_dt(config))
+                        excess = _lagged_energy_norm(config) - 1.0
+                        cases += 1
+                        if excess > worst:
+                            worst, where = excess, f"{label} k={k} {flux} eps={eps:g} N={n}"
+    # negative controls: past the stable step (sharp at telegraph k = 0), and
+    # C5b's dt = 0.4h without b_h, the same norm must exceed one clearly
+    controls = []
+    for eps in (1e-6, 1.0):
+        config = _telegraph_k0(16, eps)
+        config = scheme.with_dt(config, 1.05 * scheme.stable_dt(config))
+        controls.append(_lagged_energy_norm(config))
+    config = _telegraph_k0(64, 1.0, include_bh=False)
+    controls.append(_lagged_energy_norm(scheme.with_dt(config, 0.4 * config.mesh.h)))
+    elapsed = time.perf_counter() - start
+    _report(
+        "C10 energy-norm certificate at dt_stab",
+        worst <= tolerance and min(controls) > 1.01 and elapsed < 60.0,
+        f"{cases} configs, worst excess {worst:.1e} ({where}); controls "
+        + ", ".join(f"{x:.3f}" for x in controls) + f"; {elapsed:.1f}s",
+    )

@@ -137,6 +137,11 @@ def _forbid_steps(monkeypatch):
         (_SCAN + " --c0 0.5", "does not read --c0"),
         ("solve --k 0 --cells 8 --eps 1 --tmax 0.1 --c0 0.5", "does not read --c0"),
         ("converge --k 1 --cells 8,16,32 --eps 0.1 --tmax 0.1 --c0 0.5", "does not read --c0"),
+        # stable_dt reads continuum moments for the slab model only
+        (
+            "solve --k 1 --cells 8 --eps 0.1 --tmax 0.01 --continuum-moments",
+            "--continuum-moments only applies to the slab model",
+        ),
     ],
     ids=[
         "scan-eps",
@@ -150,6 +155,7 @@ def _forbid_steps(monkeypatch):
         "scan-c0",
         "solve-c0",
         "converge-c0",
+        "telegraph-continuum-moments",
     ],
 )
 def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):

@@ -209,6 +209,8 @@ def test_l2_distance_nested():
     assert d == pytest.approx(e, rel=1e-2)
     with pytest.raises(ValueError):
         l2_distance(project(np.sin, _mesh(12), 1), project(np.sin, _mesh(8), 1))
+    with pytest.raises(ValueError, match="different degrees"):
+        l2_distance(project(np.sin, _mesh(8), 1), project(np.sin, _mesh(16), 2))
 
 
 def test_kinetic_bracket_fields():
