@@ -68,7 +68,7 @@ def build_parser():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="key=value file with these options")
         p.add_argument("--model", choices=MODELS)
-        p.add_argument("--nv", type=int, help="velocity nodes (slab, even)")
+        p.add_argument("--nv", type=int, help="velocity nodes: slab even, default 8; telegraph 2")
         p.add_argument("--k", dest="degree", type=int, choices=range(5))
         p.add_argument("--cells", type=_comma_list(int), help="comma list of cell counts")
         p.add_argument("--eps", type=_comma_list(float), help="comma list of eps values")

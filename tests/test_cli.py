@@ -142,6 +142,8 @@ def _forbid_steps(monkeypatch):
             "solve --k 1 --cells 8 --eps 0.1 --tmax 0.01 --continuum-moments",
             "--continuum-moments only applies to the slab model",
         ),
+        # the telegraph space always has its two nodes, and the header echoes nv=2
+        ("ap-limit --k 1 --cells 8 --eps 0.1 --tmax 0.01 --nv 8", "has 2 velocity nodes"),
     ],
     ids=[
         "scan-eps",
@@ -156,6 +158,7 @@ def _forbid_steps(monkeypatch):
         "solve-c0",
         "converge-c0",
         "telegraph-continuum-moments",
+        "telegraph-nv",
     ],
 )
 def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
@@ -308,14 +311,14 @@ _SPEC_TAIL = "safety=0.90000000000000002;c0=0.050000000000000003;"
 HEADER_CASES = {
     "solve": (
         "solve --k 1 --cells 16 --eps 1e-3 --tmax 0.05 --no-bh",
-        "# mode=solve;model=telegraph;nv=8;degree=1;cells=16;eps=0.001;dt=None;flux=alt-lr;"
+        "# mode=solve;model=telegraph;nv=2;degree=1;cells=16;eps=0.001;dt=None;flux=alt-lr;"
         "include_bh=False;" + _SPEC_TAIL + "tmax=0.050000000000000003;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False;dt_used=0.0017857142857142859;dt_override=0;"
         "growth_limit=10",
     ),
     "converge": (
         "converge --k 0 --cells 4,8,16 --eps 0.5 --tmax 0.01",
-        "# mode=converge;model=telegraph;nv=8;degree=0;cells=4,8,16;eps=0.5;dt=None;"
+        "# mode=converge;model=telegraph;nv=2;degree=0;cells=4,8,16;eps=0.5;dt=None;"
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False",
     ),
@@ -328,7 +331,7 @@ HEADER_CASES = {
     ),
     "ap-limit": (
         "ap-limit --k 0 --cells 8 --eps 0,1e-4 --tmax 0.01 --dt 0.5 --force-dt",
-        "# mode=ap-limit;model=telegraph;nv=8;degree=0;cells=8;eps=0,0.0001;dt=0.5;"
+        "# mode=ap-limit;model=telegraph;nv=2;degree=0;cells=8;eps=0,0.0001;dt=0.5;"
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=True;continuum_moments=False;dt_used=0.5;dt_override=1",
     ),
@@ -357,7 +360,7 @@ def test_header_bytes_pinned(mode, tmp_path):
 # the whole CSV and checkpoint of a two-cell solve, every row included; the
 # rows end in csv's \r\n, the header lines in \n
 TINY_SOLVE = (
-    "# mode=solve;model=telegraph;nv=8;degree=0;cells=2;eps=0.5;dt=None;flux=alt-lr;"
+    "# mode=solve;model=telegraph;nv=2;degree=0;cells=2;eps=0.5;dt=None;flux=alt-lr;"
     "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
     "continuum_moments=False;dt_used=0.01;dt_override=0;growth_limit=10\n"
     "n,t,energy,rho_norm,g_norm,mean_g_norm,mass,status\r\n"
@@ -404,7 +407,7 @@ AP_LIMIT_FILES = {
     ),
     "telegraph-central-k1": (
         "ap-limit --k 1 --flux central --cells 8 --eps 1e-1,1e-6,0 --tmax 0.01",
-        "# mode=ap-limit;model=telegraph;nv=8;degree=1;cells=8;"
+        "# mode=ap-limit;model=telegraph;nv=2;degree=1;cells=8;"
         "eps=0.10000000000000001,9.9999999999999995e-07,0;dt=None;flux=central;"
         "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
         "continuum_moments=False;dt_used=0.0033333333333333335;dt_override=0\n"

@@ -25,6 +25,7 @@ from mmdg.harness import (
     run_stability_scan,
     unpack_state,
 )
+from mmdg.limit import init_limit_state, step_limit
 from mmdg.velocity import TWO_POINT, make_velocity_space
 
 
@@ -60,11 +61,17 @@ def test_registry_entries():
         dict(mode="solve", tmax=math.nan),
         dict(mode="solve", eps=(math.inf,)),
         dict(mode="solve", eps=(0.1, math.nan)),
+        dict(mode="solve", nv=8),  # telegraph has two nodes
     ],
 )
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         ExperimentSpec(**bad).validate()
+
+
+def test_spec_nv_defaults_to_the_model_node_count():
+    assert ExperimentSpec(mode="solve").validate().nv == 2
+    assert ExperimentSpec(mode="solve", model="slab").validate().nv == 8
 
 
 def test_resolve_dt_policies():
@@ -579,6 +586,40 @@ def test_ap_limit_follows_dt_policy(tmp_path):
     assert result.header["dt_used"] == 10 * bound and result.header["dt_override"]
     assert result.rows[0]["steps"] == max(1, math.ceil(0.02 / (10 * bound)))
     assert "dt_override=1" in (tmp_path / "ap.csv").read_text().splitlines()[0]
+
+
+def test_ap_limit_steps_the_stack_once_per_step(monkeypatch):
+    # one scheme.step per step advances every eps, and each row keeps the
+    # bytes of stepping its eps alone; a forced large step keeps the roundoff
+    # of the operators visible in the distances
+    spec = ExperimentSpec(
+        mode="ap-limit", model="slab", nv=4, degree=2, cells=(5,), eps=(1e-2, 0.0, 1.0),
+        flux="central", dt=0.2, force_dt=True, tmax=0.6,
+    )
+    calls = []
+    real_step = scheme.step
+
+    def counting_step(state, config):
+        calls.append(np.shape(config.eps))
+        return real_step(state, config)
+
+    monkeypatch.setattr("mmdg.scheme.step", counting_step)
+    result = run_ap_limit(spec)
+    n_steps, dt = result.rows[0]["steps"], result.header["dt_used"]
+    assert calls == [(3,)] * n_steps
+    ic = IC_REGISTRY["sin"]
+    config0 = build_config(spec, 5, 0.0, dt)
+    m2 = config0.space.moments().m2
+    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), config0.mesh, 2)
+    for _ in range(n_steps):
+        lim = step_limit(lim, dt, spec.flux, m2)
+    for row, eps in zip(result.rows, spec.eps):
+        config = build_config(spec, 5, eps, dt)
+        state = scheme.init_state(ic.rho0, ic.g0, config)
+        for _ in range(n_steps):
+            state = real_step(state, config)
+        assert row["rho_distance"] == (state.rho - lim.rho).norm()
+        assert row["q_distance"] == (state.g.bracket_v() - lim.q).norm()
 
 
 def test_run_dispatch():
