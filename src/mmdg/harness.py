@@ -268,11 +268,21 @@ class StencilStepper:
         set bit of n_steps applies the current square to the spectrum as a
         batched matvec, so the cost grows as log n_steps.  Every step count,
         zero included, takes this path, and differs from literal stepping only
-        at roundoff.
+        at roundoff.  One thread per CPU powers a contiguous slab of frequencies
+        with the same calls per frequency, so bytes do not depend on the split.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        spectrum = _apply_matrix_power(self._symbol(), n_steps, np.fft.rfft(packed, axis=0))
+        from concurrent.futures import ThreadPoolExecutor  # kept out of `import mmdg`
+        mats, spectrum = self._symbol(), np.fft.rfft(packed, axis=0)
+        workers = min(_cpu_count(), len(mats))
+        cuts = [len(mats) * i // workers for i in range(workers + 1)]
+
+        def power_slab(lo, hi):  # numpy's matmul and einsum release the GIL
+            spectrum[lo:hi] = _apply_matrix_power(mats[lo:hi], n_steps, spectrum[lo:hi])
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(power_slab, cuts[:-1], cuts[1:]))  # re-raises a worker's error
         return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
 
     def g_nodes(self, packed):
@@ -288,6 +298,11 @@ class StencilStepper:
         """|||g|||^2 of a packed state, or one per state of a stack."""
         weights = self.config.space.weights
         return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _apply_matrix_power(mats, exponent, vecs):

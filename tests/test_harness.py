@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmdg import scheme
+from mmdg import harness, scheme
 from mmdg.harness import (
     GROWTH_LIMIT,
     IC_REGISTRY,
@@ -372,6 +378,30 @@ def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["telegraph", "slab"]),
+    k=st.integers(0, 2),
+    n_cells=st.integers(1, 12),
+    eps=st.just(0.0) | st.floats(1e-6, 10.0),
+    n_steps=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_equals_scheme_step_properties(model, k, n_cells, eps, n_steps, seed):
+    # at the policy's step: apply is one scheme.step, propagate(n) is n applies
+    spec = ExperimentSpec(mode="solve", model=model, nv=4, degree=k, cells=(n_cells,), eps=(eps,))
+    config = build_config(spec, n_cells, eps, dt=1.0)
+    config = scheme.with_dt(config, resolve_dt(spec, config)[0])
+    stepper = StencilStepper(config)
+    packed = np.random.default_rng(seed).standard_normal((n_cells, stepper.block))
+    stepped = pack_state(scheme.step(unpack_state(packed, config), config))
+    assert np.max(np.abs(stepper.apply(packed) - stepped)) <= 1e-13 * np.max(np.abs(stepped))
+    applied = packed
+    for _ in range(n_steps):
+        applied = stepper.apply(applied)
+    assert _rel_diff(stepper.propagate(packed, n_steps), applied) <= 1e-12
+
+
 def test_stencil_build_steps_once_at_the_mesh_width(monkeypatch):
     # five cells of width h = 2 pi / 13 span a mesh whose own width is not h
     spec = ExperimentSpec(mode="solve", cells=(13,), eps=(0.3,))
@@ -426,6 +456,54 @@ def test_propagate_is_pure():
     assert np.array_equal(stepper.propagate(packed, 1000), first)
     assert np.array_equal(packed, before)
     assert all(np.array_equal(m, b) for m, b in zip(stepper._mblocks, blocks))
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 16])
+@pytest.mark.parametrize("model", ["slab", "telegraph"])
+def test_propagate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n_cells):
+    stepper, packed = _propagate_case(model, n_cells)
+    n_freqs, power = n_cells // 2 + 1, harness._apply_matrix_power
+    slabs = []
+
+    def recorded(mats, exponent, vecs):
+        slabs.append(len(mats))
+        return power(mats, exponent, vecs)
+
+    monkeypatch.setattr(harness, "_apply_matrix_power", recorded)
+    for n_steps in (0, 1, 2**20 - 1):
+        outs = []
+        for workers in (1, 2, 3, n_freqs + 1):
+            monkeypatch.setattr(harness, "_cpu_count", lambda w=workers: w)
+            slabs.clear()
+            outs.append(stepper.propagate(packed, n_steps))
+            # one nonempty slab per worker, at most one per frequency, covering them all
+            assert len(slabs) == min(workers, n_freqs) and min(slabs) >= 1
+            assert sum(slabs) == n_freqs
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+
+def test_propagate_refuses_negative_steps_before_any_thread(monkeypatch):
+    stepper, packed = _propagate_case("telegraph", 7)
+
+    def refuse(thread):
+        raise RuntimeError("a thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.raises(RuntimeError, match="a thread started"):
+        stepper.propagate(packed, 1)
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        stepper.propagate(packed, -1)
+
+
+def test_import_loads_no_thread_pool():
+    # propagate imports the pool on its first call, so importing mmdg stays as cheap
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = "import sys, mmdg; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
 
 
 def test_zero_fixed_steps_return_the_state():
