@@ -25,6 +25,7 @@ DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
 MAX_STEPS = 10**6  # step budget of solve, ap-limit and the scan's probes
+LIVE_TOL = 1e-15  # propagate's roundoff floor, relative to the largest spectral coefficient
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -253,11 +254,12 @@ class StencilStepper:
     def apply(self, packed):
         return np.take(packed, self._gather, axis=0).reshape(len(packed), -1) @ self._stacked
 
-    def _symbol(self):
-        # Fourier symbol of the circulant step map, one block per frequency
+    def symbol(self, freqs=None):
+        """Fourier symbol of the step: per frequency j in freqs (default 0..N//2),
+        the (block, block) matrix that maps rfft(packed)[j] to rfft(apply(packed))[j]."""
         n = self.config.mesh.n_cells
-        offsets = np.arange(-self.REACH, self.REACH + 1)
-        phase = np.exp(-2j * np.pi * np.outer(np.arange(n // 2 + 1), offsets) / n)
+        freqs = np.arange(n // 2 + 1) if freqs is None else freqs
+        phase = np.exp(-2j * np.pi * np.outer(freqs, np.arange(-self.REACH, self.REACH + 1)) / n)
         return np.tensordot(phase, self._mblocks, axes=1)
 
     def propagate(self, packed, n_steps):
@@ -268,21 +270,32 @@ class StencilStepper:
         set bit of n_steps applies the current square to the spectrum as a
         batched matvec, so the cost grows as log n_steps.  Every step count,
         zero included, takes this path, and differs from literal stepping only
-        at roundoff.  One thread per CPU powers a contiguous slab of frequencies
-        with the same calls per frequency, so bytes do not depend on the split.
+        at roundoff.  Only live frequencies, whose largest coefficient exceeds
+        LIVE_TOL times the spectrum's largest, are powered; the rest come out as
+        exact zeros.  The cut needs dt <= dt_stab, where the energy theorem keeps
+        dropped roundoff from growing; otherwise, or with no dt_stab, all are
+        powered.  One thread per CPU builds and powers the symbol of a contiguous
+        slab of live frequencies with the same calls per frequency, so bytes do
+        not depend on the split.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
         from concurrent.futures import ThreadPoolExecutor  # kept out of `import mmdg`
-        mats, spectrum = self._symbol(), np.fft.rfft(packed, axis=0)
-        workers = min(_cpu_count(), len(mats))
-        cuts = [len(mats) * i // workers for i in range(workers + 1)]
+        spectrum = np.fft.rfft(packed, axis=0)
+        try:  # slab without b_h has no dt_stab
+            cut = self.config.dt <= scheme.stable_dt(self.config)
+        except ValueError:
+            cut = False
+        size = np.abs(spectrum).max(axis=1)
+        dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
+        spectrum[dead], live = 0.0, np.flatnonzero(~dead)
+        workers = max(1, min(_cpu_count(), len(live)))  # an all-zero state has no live one
 
-        def power_slab(lo, hi):  # numpy's matmul and einsum release the GIL
-            spectrum[lo:hi] = _apply_matrix_power(mats[lo:hi], n_steps, spectrum[lo:hi])
+        def power_slab(slab):  # numpy's matmul and einsum release the GIL
+            spectrum[slab] = _apply_matrix_power(self.symbol(slab), n_steps, spectrum[slab])
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(power_slab, cuts[:-1], cuts[1:]))  # re-raises a worker's error
+        with ThreadPoolExecutor(workers) as pool:  # map re-raises a worker's error
+            list(pool.map(power_slab, np.array_split(live, workers)))
         return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
 
     def g_nodes(self, packed):
@@ -538,8 +551,10 @@ def run_convergence(spec):
     In the near-limit regime (eps <= 1e-6, sin data) errors are measured
     against the exact decayed-sine solution of the limiting heat equation;
     otherwise against a reference run on a REF_FACTOR_X finer mesh with the
-    finest dt / REF_FACTOR_T.  Every run's config is built at its own dt
-    before the first step, so a bad eps is refused before any work.
+    finest dt / REF_FACTOR_T.  Each run goes through propagate: at dt <= dt_stab
+    it powers only the frequencies whose data exceed LIVE_TOL = 1e-15 of the
+    largest, and every frequency otherwise.  Every run's config is built at
+    its own dt before the first step, so a bad eps is refused before any work.
     """
     spec.validate()
     cells = sorted(int(n) for n in spec.cells)

@@ -513,7 +513,7 @@ def _lagged_energy_norm(config):
     g node by node): G_rr = I, and with H = G_gg - G_gr G_rg,
     L = [[I + G_rg G_gr, G_rg H], [G_gr, H]].
     """
-    symbol = StencilStepper(config)._symbol()
+    symbol = StencilStepper(config).symbol()
     k1 = config.degree + 1
     rho, g = slice(None, k1), slice(k1, None)
     assert all(np.array_equal(block, np.eye(k1)) for block in symbol[:, rho, rho])

@@ -386,14 +386,23 @@ def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
     eps=st.just(0.0) | st.floats(1e-6, 10.0),
     n_steps=st.integers(0, 40),
     seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
 )
-def test_stencil_equals_scheme_step_properties(model, k, n_cells, eps, n_steps, seed):
+def test_stencil_equals_scheme_step_properties(model, k, n_cells, eps, n_steps, seed, sparse):
     # at the policy's step: apply is one scheme.step, propagate(n) is n applies
     spec = ExperimentSpec(mode="solve", model=model, nv=4, degree=k, cells=(n_cells,), eps=(eps,))
     config = build_config(spec, n_cells, eps, dt=1.0)
     config = scheme.with_dt(config, resolve_dt(spec, config)[0])
     stepper = StencilStepper(config)
-    packed = np.random.default_rng(seed).standard_normal((n_cells, stepper.block))
+    rng = np.random.default_rng(seed)
+    packed = rng.standard_normal((n_cells, stepper.block))
+    if sparse:  # a few Fourier modes over noise at 1e-17, which propagate drops
+        # mode 0 carries the mass, which no step decays, so the output keeps
+        # its scale and stepping's roundoff stays below 1e-12 of it
+        spectrum = np.fft.rfft(packed, axis=0)
+        spectrum[1 + rng.permutation(len(spectrum) - 1)[2:]] = 0.0
+        packed = np.fft.irfft(spectrum, n=n_cells, axis=0)
+        packed += 1e-17 * np.max(np.abs(packed)) * rng.standard_normal(packed.shape)
     stepped = pack_state(scheme.step(unpack_state(packed, config), config))
     assert np.max(np.abs(stepper.apply(packed) - stepped)) <= 1e-13 * np.max(np.abs(stepped))
     applied = packed
@@ -442,7 +451,7 @@ def test_propagate_matches_stepping(model, n_cells):
         assert _rel_diff(stepper.propagate(packed, n_steps), stepped) <= 1e-12
     # every bit of the exponent is set, so each matvec of the powering counts
     n_steps = 2**20 - 1
-    power = np.linalg.matrix_power(stepper._symbol(), n_steps)
+    power = np.linalg.matrix_power(stepper.symbol(), n_steps)
     spectrum = np.einsum("fab,fb->fa", power, np.fft.rfft(packed, axis=0))
     ref = np.fft.irfft(spectrum, n=n_cells, axis=0)
     assert _rel_diff(stepper.propagate(packed, n_steps), ref) <= 1e-12
@@ -458,18 +467,24 @@ def test_propagate_is_pure():
     assert all(np.array_equal(m, b) for m, b in zip(stepper._mblocks, blocks))
 
 
+def _record_powered(monkeypatch):
+    """Frequencies each _apply_matrix_power call receives, and the unpatched power."""
+    powered, power = [], harness._apply_matrix_power
+
+    def recorded(mats, exponent, vecs):
+        powered.append(len(mats))
+        return power(mats, exponent, vecs)
+
+    monkeypatch.setattr(harness, "_apply_matrix_power", recorded)
+    return powered, power
+
+
 @pytest.mark.parametrize("n_cells", [1, 2, 7, 16])
 @pytest.mark.parametrize("model", ["slab", "telegraph"])
 def test_propagate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n_cells):
     stepper, packed = _propagate_case(model, n_cells)
-    n_freqs, power = n_cells // 2 + 1, harness._apply_matrix_power
-    slabs = []
-
-    def recorded(mats, exponent, vecs):
-        slabs.append(len(mats))
-        return power(mats, exponent, vecs)
-
-    monkeypatch.setattr(harness, "_apply_matrix_power", recorded)
+    n_freqs = n_cells // 2 + 1
+    slabs, _ = _record_powered(monkeypatch)
     for n_steps in (0, 1, 2**20 - 1):
         outs = []
         for workers in (1, 2, 3, n_freqs + 1):
@@ -480,6 +495,85 @@ def test_propagate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n
             assert len(slabs) == min(workers, n_freqs) and min(slabs) >= 1
             assert sum(slabs) == n_freqs
         assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+
+def _initial_packed(config, ic="sin"):
+    ic = IC_REGISTRY[ic]
+    return pack_state(scheme.init_state(ic.rho0, ic.g0, config))
+
+
+@pytest.mark.parametrize("model, nv", [("telegraph", 2), ("slab", 4), ("slab", 32)])
+def test_propagate_powers_only_the_live_frequencies(monkeypatch, model, nv):
+    # The refine workload's reference level: k = 2, N = 1024 and about 2e6
+    # steps.  Its data hold 1, 2 and about 35 of the 513 frequencies above
+    # roundoff.  At refine's own nv = 32 one full power takes about a
+    # second, so there only the counts are checked.
+    powered, power = _record_powered(monkeypatch)
+    for eps in (1.0, 1e-2, 1e-6, 1e-8):
+        # bump data: _convergence_levels gives a reference level at every eps
+        spec = ExperimentSpec(mode="converge", model=model, nv=nv, degree=2,
+                              cells=(64, 128, 256), eps=(eps,), tmax=0.1, ic="bump")
+        _, (config, n_steps) = harness._convergence_levels(spec, eps, spec.cells)
+        assert config.mesh.n_cells == 1024
+        stepper = StencilStepper(config)
+        for ic, n_live in (("sin", [1]), ("ill-prepared", [2]), ("bump", range(30, 41))):
+            packed = _initial_packed(config, ic)
+            powered.clear()
+            out = stepper.propagate(packed, n_steps)
+            assert sum(powered) in n_live, (eps, ic, powered)
+            if nv < 32:
+                spectrum = power(stepper.symbol(), n_steps, np.fft.rfft(packed, axis=0))
+                full = np.fft.irfft(spectrum, n=config.mesh.n_cells, axis=0)
+                assert np.max(np.abs(out - full)) <= 2e-15 * np.max(np.abs(packed)), (eps, ic)
+
+
+def test_propagate_powers_every_frequency_above_the_stable_step(monkeypatch):
+    # Beyond dt_stab the energy theorem does not hold: at 1.3 dt_stab mode
+    # j = 16 has spectral radius 1.43, and its roundoff grows from 1e-16 to
+    # about 6e14 in 200 steps.  Dropping it would report a decayed sine.
+    spec = ExperimentSpec(mode="solve", degree=0, cells=(32,), eps=(1.0,))
+    config = build_config(spec, 32, 1.0, dt=1.0)
+    config = scheme.with_dt(config, 1.3 * scheme.stable_dt(config))
+    stepper, packed = StencilStepper(config), _initial_packed(config)
+    stepped = packed
+    for _ in range(200):
+        stepped = stepper.apply(stepped)
+    powered, _ = _record_powered(monkeypatch)
+    out = stepper.propagate(packed, 200)
+    assert sum(powered) == 17
+    # each amplifies its own roundoff, so the two agree only in size
+    assert np.max(np.abs(stepped)) > 1e10 and np.max(np.abs(out)) > 1e10
+
+
+def test_propagate_powers_every_frequency_without_a_stable_step(monkeypatch):
+    # slab without b_h has no dt_stab, so nothing bounds the dropped roundoff
+    spec = ExperimentSpec(mode="solve", model="slab", nv=4, degree=1, cells=(16,),
+                          eps=(0.3,), include_bh=False)
+    config = build_config(spec, 16, 0.3, dt=1e-3)
+    with pytest.raises(ValueError, match="two-point"):
+        scheme.stable_dt(config)
+    stepper, packed = StencilStepper(config), _initial_packed(config)
+    stepped = packed
+    for _ in range(50):
+        stepped = stepper.apply(stepped)
+    powered, _ = _record_powered(monkeypatch)
+    assert _rel_diff(stepper.propagate(packed, 50), stepped) <= 1e-12
+    assert sum(powered) == 9
+
+
+def test_propagate_of_zeros_is_zeros():
+    # no frequency is live, and the pool still gets one worker
+    stepper, packed = _propagate_case("slab", 16)
+    assert np.array_equal(stepper.propagate(np.zeros_like(packed), 1000), np.zeros_like(packed))
+
+
+def test_propagate_keeps_every_frequency_of_a_nan_state(monkeypatch):
+    # the NaN spreads over the whole spectrum, and no comparison with it drops a frequency
+    stepper, packed = _propagate_case("slab", 16)
+    packed[3, 2] = np.nan
+    powered, _ = _record_powered(monkeypatch)
+    out = stepper.propagate(packed, 1000)
+    assert sum(powered) == 9 and np.isnan(out).all()
 
 
 def test_propagate_refuses_negative_steps_before_any_thread(monkeypatch):
