@@ -136,14 +136,6 @@ class KineticField:
         norm = np.sqrt((per_node[..., None, :] @ self.space.weights)[..., 0])
         return float(norm) if norm.ndim == 0 else norm
 
-    def __add__(self, other):
-        return KineticField(self.space, self.mesh, self.degree, self.coeff + other.coeff)
-
-    def __mul__(self, scalar):
-        return KineticField(self.space, self.mesh, self.degree, self.coeff * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def project(f, mesh, degree):
     """L2-project a vectorized callable of x onto the broken P^degree space."""

@@ -5,6 +5,7 @@ name; a library change that removes one of them would otherwise surface
 only in a traced benchmark run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,53 @@ def test_bench_hooks_install():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACE_DRIVERS = """
+import json, os, sys
+from mmdg.cli import main
+from tracer import Tracer, span_totals
+
+tracer = Tracer()
+tracer.install()
+out = sys.argv[1]
+for argv in (
+    f"solve --k 0 --cells 8 --eps 1 --tmax 0.01 --out {out}/solve.csv",
+    f"converge --k 0 --cells 4,8,16 --eps 0.5 --tmax 0.01 --out {out}/conv.csv",
+    f"stability-scan --k 0 --cells 8 --eps 1 --tmax 0.05 --out {out}/scan.csv",
+):
+    assert main(argv.split()) == 0, argv
+totals = span_totals({"names": tracer.names, "spans": tracer.spans})
+print(json.dumps({name: total[0] for name, total in totals.items()}))
+"""
+
+TRACED_HARNESS_LAYERS = (
+    "stencil_build",
+    "stencil_apply",
+    "propagate",
+    "packed_norms",
+    "energy_history",
+    "is_stable",
+    "write_csv",
+)
+
+
+def test_tracer_sees_every_harness_layer(tmp_path):
+    # bench/tracer.py wraps these where the drivers look them up; a driver
+    # that reached one another way would leave its span count at zero
+    path = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "bench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_DRIVERS, str(tmp_path)],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    missing = [name for name in TRACED_HARNESS_LAYERS if not calls.get(f"harness.{name}")]
+    assert not missing, calls
 
 
 def test_bench_counters_count_driver_work(monkeypatch):

@@ -180,6 +180,17 @@ def test_missing_output_directory_refused_before_any_step(mode, monkeypatch, tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["solve", "converge", "stability-scan", "ap-limit"])
+def test_directory_output_path_refused_before_any_step(mode, monkeypatch, tmp_path, capsys):
+    _forbid_steps(monkeypatch)
+    cells = "4,8,16" if mode == "converge" else "8"
+    argv = [mode, "--cells", cells, "--eps", "0.5", "--tmax", "0.01", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_large_finite_eps_still_runs(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["solve", "--eps", "1e150", "--tmax", "0.01", "--out", str(out)]) == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdg import harness, scheme
+from mmdg import harness, scheme, stencil
 from mmdg.harness import (
     GROWTH_LIMIT,
     IC_REGISTRY,
@@ -277,7 +277,7 @@ def _chunk_states(monkeypatch, spec, states):
     # size the march's chunks to hold this many packed states of the spec
     nodes = 2 if spec.model == "telegraph" else spec.nv
     packed_bytes = 8 * spec.cells[0] * (1 + nodes) * (spec.degree + 1)
-    monkeypatch.setattr("mmdg.harness.CHUNK_BYTES", states * packed_bytes)
+    monkeypatch.setattr("mmdg.stencil.CHUNK_BYTES", states * packed_bytes)
 
 
 @pytest.mark.parametrize("states", [2, 3])
@@ -324,7 +324,7 @@ def test_energy_history_independent_of_chunk_size(monkeypatch, dt, stop_factor):
     ic = IC_REGISTRY["sin"]
     state = scheme.init_state(ic.rho0, ic.g0, config)
     energies, ok = energy_history(config, state, 300, stop_factor)
-    monkeypatch.setattr("mmdg.harness.CHUNK_BYTES", 1)  # one state per chunk
+    monkeypatch.setattr("mmdg.stencil.CHUNK_BYTES", 1)  # one state per chunk
     single, single_ok = energy_history(config, state, 300, stop_factor)
     assert ok == single_ok == (stop_factor is None)
     assert np.array_equal(energies, single)
@@ -469,13 +469,13 @@ def test_propagate_is_pure():
 
 def _record_powered(monkeypatch):
     """Frequencies each _apply_matrix_power call receives, and the unpatched power."""
-    powered, power = [], harness._apply_matrix_power
+    powered, power = [], stencil._apply_matrix_power
 
     def recorded(mats, exponent, vecs):
         powered.append(len(mats))
         return power(mats, exponent, vecs)
 
-    monkeypatch.setattr(harness, "_apply_matrix_power", recorded)
+    monkeypatch.setattr(stencil, "_apply_matrix_power", recorded)
     return powered, power
 
 
@@ -488,7 +488,7 @@ def test_propagate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n
     for n_steps in (0, 1, 2**20 - 1):
         outs = []
         for workers in (1, 2, 3, n_freqs + 1):
-            monkeypatch.setattr(harness, "_cpu_count", lambda w=workers: w)
+            monkeypatch.setattr(stencil, "_cpu_count", lambda w=workers: w)
             slabs.clear()
             outs.append(stepper.propagate(packed, n_steps))
             # one nonempty slab per worker, at most one per frequency, covering them all

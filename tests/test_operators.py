@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -187,18 +188,19 @@ def test_operator_linearity():
     rng = np.random.default_rng(8)
     mesh = _mesh(6)
     a, b = 0.7, -2.3
-    g1 = _random_kinetic(rng, SLAB, mesh, 2)
-    g2 = _random_kinetic(rng, SLAB, mesh, 2)
-    r1 = _random_field(rng, mesh, 2)
-    r2 = _random_field(rng, mesh, 2)
-    for op, x, y in (
-        (lambda f: moment_flux_divergence(f, ALT_LR), g1, g2),
-        (upwind_streaming, g1, g2),
-        (streaming_fluctuation, g1, g2),
-        (lambda f: minus_gradient(f, CENTRAL), r1, r2),
+    g1 = _random_kinetic(rng, SLAB, mesh, 2).coeff
+    g2 = _random_kinetic(rng, SLAB, mesh, 2).coeff
+    r1 = _random_field(rng, mesh, 2).coeff
+    r2 = _random_field(rng, mesh, 2).coeff
+    kinetic, scalar = partial(KineticField, SLAB, mesh, 2), partial(DGField, mesh, 2)
+    for op, field, x, y in (
+        (lambda f: moment_flux_divergence(f, ALT_LR), kinetic, g1, g2),
+        (upwind_streaming, kinetic, g1, g2),
+        (streaming_fluctuation, kinetic, g1, g2),
+        (lambda f: minus_gradient(f, CENTRAL), scalar, r1, r2),
     ):
-        lhs = op(a * x + b * y).coeff
-        rhs = a * op(x).coeff + b * op(y).coeff
+        lhs = op(field(a * x + b * y)).coeff
+        rhs = a * op(field(x)).coeff + b * op(field(y)).coeff
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
