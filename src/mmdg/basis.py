@@ -56,6 +56,15 @@ def legendre_basis(degree):
 
 
 @lru_cache(maxsize=None)
+def gauss_rule(n_points):
+    """Gauss-Legendre (nodes, weights) on [-1, 1], read-only and shared."""
+    rule = npleg.leggauss(n_points)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+@lru_cache(maxsize=None)
 def mass_diagonal(degree, h):
     """Diagonal of the cell mass matrix for a cell of width h, read-only and shared.
 
@@ -108,7 +117,7 @@ def inverse_constants(degree):
         c_hat = 0.0
     else:
         # stiffness entries are polynomial; degree+2 Gauss points are exact
-        nodes, weights = npleg.leggauss(degree + 2)
+        nodes, weights = gauss_rule(degree + 2)
         dv = basis.deriv_vandermonde(nodes)
         stiff = 4.0 * (dv * weights[:, None]).T @ dv
         c_hat = _max_generalized_eig(stiff, mass)

@@ -3,19 +3,19 @@
 A DGField stores modal Legendre coefficients per cell, shape (n_cells,
 degree+1).  A KineticField stacks one such coefficient table per velocity
 node, shape (n_nodes, n_cells, degree+1).  Either may carry leading axes that
-stack independent runs on one discretization (scheme.step advances such a
-stack); DGField's norm, evaluation and integral read single fields only.  The
-mesh is uniform and periodic; interface i-1/2 sits between cells i-1 and i
-with index arithmetic mod N.  Initial data enter through the L2 projection:
-cell moments 0..k match the target.
+stack independent runs on one discretization: scheme.step advances such a
+stack, and the L2 errors give one distance per field; DGField's norm and
+integral read single fields only.  The mesh is uniform and periodic;
+interface i-1/2 sits between cells i-1 and i with index arithmetic mod N.
+Initial data enter through the L2 projection: cell moments 0..k match the
+target.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
-from .basis import legendre_basis, mass_diagonal
+from .basis import gauss_rule, legendre_basis, mass_diagonal
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Mesh1D:
 
     def quad_points(self, n_points):
         """Gauss points per cell: physical x (n_cells, n_points), ref nodes, weights."""
-        nodes, weights = npleg.leggauss(n_points)
+        nodes, weights = gauss_rule(n_points)
         x = self.centers()[:, None] + 0.5 * self.h * nodes[None, :]
         return x, nodes, weights
 
@@ -60,20 +60,6 @@ class DGField:
         self.coeff = np.asarray(coeff, dtype=float)
         if self.coeff.shape[-2:] != (mesh.n_cells, degree + 1):
             raise ValueError(f"coefficient shape {self.coeff.shape} does not match mesh")
-
-    def eval(self, x):
-        """Point values, periodic fold into [x_min, x_max); any input shape.
-
-        Points landing exactly on a cell edge belong to the right cell.
-        """
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        rel = np.mod(x.ravel() - self.mesh.x_min, self.mesh.x_max - self.mesh.x_min)
-        idx = np.minimum((rel / self.mesh.h).astype(int), self.mesh.n_cells - 1)
-        xi = 2.0 * (rel - (idx + 0.5) * self.mesh.h) / self.mesh.h
-        vand = legendre_basis(self.degree).vandermonde(np.clip(xi, -1.0, 1.0))
-        vals = np.einsum("pj,pj->p", vand, self.coeff[idx])
-        return vals.reshape(shape) if shape else float(vals[0])
 
     def norm(self):
         """L2 norm from coefficients (exact, diagonal mass)."""
@@ -178,12 +164,15 @@ def periodic_shift(values, shift):
 
 
 def l2_error(field, exact):
-    """Quadrature L2 distance between a field and a pointwise function."""
+    """Quadrature L2 distance between a field and a pointwise function.
+
+    A stacked field gives one distance per field; exact(x) may be stacked too.
+    """
     x, nodes, weights = field.mesh.quad_points(field.degree + 3)
     vand = legendre_basis(field.degree).vandermonde(nodes)
-    vals = field.coeff @ vand.T
-    diff = vals - np.asarray(exact(x), dtype=float)
-    return float(np.sqrt(0.5 * field.mesh.h * np.einsum("ip,p->", diff**2, weights)))
+    diff = field.coeff @ vand.T - np.asarray(exact(x), dtype=float)
+    dist = np.sqrt(0.5 * field.mesh.h * np.einsum("...ip,p->...", diff**2, weights))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def l2_distance(coarse, fine):
@@ -191,9 +180,24 @@ def l2_distance(coarse, fine):
 
     The second field's mesh must refine the first's (same domain, cell
     count an integer multiple), and both fields must share one degree.
+    Stacked fields give one distance per field, as l2_error does.
     """
-    if fine.mesh.n_cells % coarse.mesh.n_cells != 0:
+    mesh = coarse.mesh
+    domain = (mesh.x_min, mesh.x_max)
+    if (fine.mesh.x_min, fine.mesh.x_max) != domain or fine.mesh.n_cells % mesh.n_cells:
         raise ValueError("meshes do not nest")
     if fine.degree != coarse.degree:
         raise ValueError("fields have different degrees")
-    return l2_error(fine, coarse.eval)
+
+    def coarse_values(x):
+        # each point's cell, once for the whole stack (edge points go right);
+        # gather one field at a time: a stacked gather holds all fields at once
+        rel = np.mod(x.ravel() - mesh.x_min, mesh.x_max - mesh.x_min)
+        idx = np.minimum((rel / mesh.h).astype(int), mesh.n_cells - 1)
+        xi = 2.0 * (rel - (idx + 0.5) * mesh.h) / mesh.h
+        vand = legendre_basis(coarse.degree).vandermonde(np.clip(xi, -1.0, 1.0))
+        coeff = coarse.coeff.reshape(-1, mesh.n_cells, coarse.degree + 1)
+        vals = np.stack([np.einsum("pj,pj->p", vand, c[idx]) for c in coeff])
+        return vals.reshape(coarse.coeff.shape[:-2] + x.shape)
+
+    return l2_error(fine, coarse_values)

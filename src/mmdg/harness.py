@@ -333,6 +333,12 @@ def _convergence_levels(spec, eps, cells):
     return levels, (build_config(spec, REF_FACTOR_X * cells[-1], eps, dt), n_steps)
 
 
+def _field_stack(state):
+    """rho, then g at every velocity node, as one stacked DGField."""
+    rho = state.rho
+    return DGField(rho.mesh, rho.degree, np.concatenate((rho.coeff[None], state.g.coeff)))
+
+
 def run_convergence(spec):
     """Error table under mesh refinement, one block per eps value.
 
@@ -358,17 +364,16 @@ def run_convergence(spec):
         if ref is None:
             decay = math.exp(-m2 * spec.tmax)
             distance = l2_error
-            targets = [lambda x: decay * np.sin(x)]
-            targets += [lambda x, v=v: -v * decay * np.cos(x) for v in space.nodes]
+            target = lambda x: np.stack(  # rho, then g at every node
+                [decay * np.sin(x)] + [-v * decay * np.cos(x) for v in space.nodes])
         else:
             ref_state = run_fixed_steps(ref[0], _initial_state(spec, ref[0]), ref[1])
             distance = l2_distance
-            targets = [ref_state.rho] + [ref_state.g.node(q) for q in range(space.n_nodes)]
+            target = _field_stack(ref_state)
         prev = None
         for config, n_steps in levels:
             final = run_fixed_steps(config, _initial_state(spec, config), n_steps)
-            computed = [final.rho] + [final.g.node(q) for q in range(space.n_nodes)]
-            err_rho, *err_nodes = [distance(f, t) for f, t in zip(computed, targets)]
+            err_rho, *err_nodes = distance(_field_stack(final), target).tolist()
             err_g = eps * math.sqrt(sum(w * e * e for w, e in zip(space.weights, err_nodes)))
             row = {
                 "eps": eps,

@@ -9,7 +9,8 @@ odd moments vanish identically.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
+
+from .basis import gauss_rule
 
 TWO_POINT = "discrete-two-point"
 GAUSS_ORDINATES = "gauss-ordinates"
@@ -95,7 +96,7 @@ def make_velocity_space(kind, n_nodes=None):
             raise ValueError(
                 f"gauss-ordinates needs an even node count >= 2, got {n_nodes}"
             )
-        nodes, weights = npleg.leggauss(int(n_nodes))
+        nodes, weights = gauss_rule(int(n_nodes))
         # enforce exact +- symmetry so odd moments cancel in floating point
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])

@@ -49,11 +49,27 @@ def project_kinetic_in_mode(g, mesh, degree, space, mode):
     return out
 
 
+def eval_from_right(field, x):
+    """Point values, periodic fold into [x_min, x_max); any input shape.
+
+    Points landing exactly on a cell edge belong to the right cell.
+    """
+    mesh = field.mesh
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    rel = np.mod(x.ravel() - mesh.x_min, mesh.x_max - mesh.x_min)
+    idx = np.minimum((rel / mesh.h).astype(int), mesh.n_cells - 1)
+    xi = 2.0 * (rel - (idx + 0.5) * mesh.h) / mesh.h
+    vand = legendre_basis(field.degree).vandermonde(np.clip(xi, -1.0, 1.0))
+    vals = np.einsum("pj,pj->p", vand, field.coeff[idx])
+    return vals.reshape(shape) if shape else float(vals[0])
+
+
 def eval_from_left(field, x):
     """Point values, with points on a cell edge taken from the cell to their left.
 
     This is the one-sided limit from below that radau-minus samples broken
-    data with; DGField.eval takes edge points from the right.
+    data with; eval_from_right takes edge points from the right.
     """
     mesh = field.mesh
     x = np.asarray(x, dtype=float)

@@ -4,6 +4,7 @@ from numpy.polynomial import legendre as npleg
 
 from mmdg.basis import (
     LegendreBasis,
+    gauss_rule,
     inverse_constants,
     legendre_basis,
     mass_diagonal,
@@ -40,6 +41,18 @@ def test_mass_diagonal_examples():
     for _ in range(2):
         with pytest.raises(ValueError):
             mass_diagonal(1, -1.0)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 5, 32])
+def test_gauss_rule_is_shared_and_read_only(n_points):
+    nodes, weights = gauss_rule(n_points)
+    expected_nodes, expected_weights = npleg.leggauss(n_points)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
+    assert gauss_rule(n_points) is gauss_rule(n_points)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_inverse_constants_k0():

@@ -83,6 +83,8 @@ def test_tracer_sees_every_harness_layer(tmp_path):
     calls = json.loads(proc.stdout.splitlines()[-1])
     missing = [name for name in TRACED_HARNESS_LAYERS if not calls.get(f"harness.{name}")]
     assert not missing, calls
+    # converge at eps 0.5 measures against its reference run
+    assert calls.get("fields.l2_distance", 0) >= 1, calls
 
 
 def test_bench_counters_count_driver_work(monkeypatch):

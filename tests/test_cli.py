@@ -430,6 +430,47 @@ AP_LIMIT_FILES = {
 }
 
 
+# the whole CSV of two small converge runs: one measured against its
+# reference run (l2_distance), one against the exact heat-limit solution
+# (l2_error); the same bytes with BLAS on one thread or its default
+CONVERGE_FILES = {
+    "slab-bump-reference": (
+        "converge --model slab --nv 4 --k 2 --cells 4,8,16 --eps 0.1 --tmax 0.01 --ic bump",
+        "# mode=converge;model=slab;nv=4;degree=2;cells=4,8,16;eps=0.10000000000000001;"
+        "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=bump;"
+        "out={out};force_dt=False;continuum_moments=False\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
+        "0.10000000000000001,4,0.0050000000000000001,0.10916297658170974,nan,"
+        "0.05522141873795175,nan,\r\n"
+        "0.10000000000000001,8,0.0011111111111111111,0.052184178340255613,"
+        "1.0647992694989283,0.028726862589952881,0.9428275165961858,\r\n"
+        "0.10000000000000001,16,0.00015151515151515152,0.012452552754885913,"
+        "2.0671709411154242,0.0053588256005918542,2.4224116668692739,\r\n",
+    ),
+    "telegraph-heat-limit": (
+        "converge --k 1 --cells 4,8,16 --eps 1e-8 --tmax 0.01",
+        "# mode=converge;model=telegraph;nv=2;degree=1;cells=4,8,16;eps=1e-08;dt=None;"
+        "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
+        "force_dt=False;continuum_moments=False\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
+        "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672054e-09,nan,\r\n"
+        "1e-08,8,0.0033333333333333335,0.04380836398382771,1.8312258886677928,"
+        "2.4633256906658668e-09,1.3484802154875151,\r\n"
+        "1e-08,16,0.00090909090909090909,0.015528356652291447,1.49630117937169,"
+        "2.2832119689486002e-10,3.4314706796907459,\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONVERGE_FILES)
+def test_converge_file_bytes_pinned(case, tmp_path):
+    argv, expected = CONVERGE_FILES[case]
+    out = str(tmp_path / "conv.csv")
+    assert main(argv.split() + ["--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert fh.read() == expected.format(out=out)
+
+
 @pytest.mark.parametrize("case", AP_LIMIT_FILES)
 def test_ap_limit_file_bytes_pinned(case, tmp_path):
     argv, expected = AP_LIMIT_FILES[case]

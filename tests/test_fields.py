@@ -9,6 +9,7 @@ from dg_tools import (
     RADAU_PLUS,
     averages,
     eval_from_left,
+    eval_from_right,
     inner,
     jumps,
     project_in_mode,
@@ -54,7 +55,7 @@ def test_projection_reproduces_broken_polynomials(mode, k):
     rng = np.random.default_rng(5 * k + len(mode))
     mesh = _mesh(6)
     target = DGField(mesh, k, rng.standard_normal((6, k + 1)))
-    sample = eval_from_left if mode == RADAU_MINUS else DGField.eval
+    sample = eval_from_left if mode == RADAU_MINUS else eval_from_right
     projected = project_in_mode(lambda x: sample(target, x), mesh, k, mode)
     assert np.max(np.abs(projected.coeff - target.coeff)) < 1e-11
 
@@ -198,7 +199,8 @@ def test_inner_matches_quadrature():
 def test_field_eval_periodic_fold():
     mesh = _mesh(8)
     field = project(np.sin, mesh, 2)
-    assert field.eval(2 * np.pi + 0.3) == pytest.approx(field.eval(0.3), abs=1e-14)
+    folded = eval_from_right(field, 2 * np.pi + 0.3)
+    assert folded == pytest.approx(eval_from_right(field, 0.3), abs=1e-14)
 
 
 def test_l2_distance_nested():
@@ -211,6 +213,49 @@ def test_l2_distance_nested():
         l2_distance(project(np.sin, _mesh(12), 1), project(np.sin, _mesh(8), 1))
     with pytest.raises(ValueError, match="different degrees"):
         l2_distance(project(np.sin, _mesh(8), 1), project(np.sin, _mesh(16), 2))
+    # a fine mesh on another domain does not nest, whatever its cell count
+    with pytest.raises(ValueError, match="do not nest"):
+        l2_distance(project(np.sin, _mesh(8), 1), project(np.sin, _mesh(16, 1.0), 1))
+    with pytest.raises(ValueError, match="do not nest"):
+        l2_distance(project(np.sin, _mesh(8), 1), project(np.sin, Mesh1D(-1.0, 2 * np.pi, 16), 1))
+
+
+def _l2_distance_one_by_one(coarse, fine):
+    # the distance of one pair of fields as it was taken before stacking: the
+    # fine mesh's quadrature against point values of the coarse field
+    x, nodes, weights = fine.mesh.quad_points(fine.degree + 3)
+    vand = legendre_basis(fine.degree).vandermonde(nodes)
+    diff = fine.coeff @ vand.T - eval_from_right(coarse, x)
+    return float(np.sqrt(0.5 * fine.mesh.h * np.einsum("ip,p->", diff**2, weights)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("coarse_cells, ratio", [(5, 1), (4, 2), (6, 3), (3, 4), (2, 8)])
+def test_stacked_l2_distance_matches_one_by_one(k, coarse_cells, ratio):
+    # one call on a stack gives, bit for bit, the distance of each pair alone
+    rng = np.random.default_rng(100 * k + 10 * coarse_cells + ratio)
+    n_fields = 7
+    coarse_mesh, fine_mesh = _mesh(coarse_cells), _mesh(ratio * coarse_cells)
+    coarse = DGField(coarse_mesh, k, rng.standard_normal((n_fields, coarse_cells, k + 1)))
+    fine = DGField(fine_mesh, k, rng.standard_normal((n_fields, ratio * coarse_cells, k + 1)))
+    stacked = l2_distance(coarse, fine)
+    assert stacked.shape == (n_fields,)
+    for s in range(n_fields):
+        one = _l2_distance_one_by_one(DGField(coarse_mesh, k, coarse.coeff[s]),
+                                      DGField(fine_mesh, k, fine.coeff[s]))
+        assert l2_distance(DGField(coarse_mesh, k, coarse.coeff[s]),
+                           DGField(fine_mesh, k, fine.coeff[s])) == one
+        assert stacked[s] == one
+
+
+def test_stacked_l2_error_matches_one_by_one():
+    rng = np.random.default_rng(3)
+    field = DGField(_mesh(12), 2, rng.standard_normal((4, 12, 3)))
+    amplitudes = np.array([1.0, -0.5, 2.0, 0.0])
+    stacked = l2_error(field, lambda x: amplitudes[:, None, None] * np.sin(x))
+    for s, a in enumerate(amplitudes):
+        alone = DGField(field.mesh, 2, field.coeff[s])
+        assert stacked[s] == l2_error(alone, lambda x: a * np.sin(x))
 
 
 def test_kinetic_bracket_fields():
