@@ -74,10 +74,6 @@ class DGField:
         if self.mesh != other.mesh or self.degree != other.degree:
             raise ValueError("fields live on different discretizations")
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return DGField(self.mesh, self.degree, self.coeff + other.coeff)
-
     def __sub__(self, other):
         self._check_compatible(other)
         return DGField(self.mesh, self.degree, self.coeff - other.coeff)

@@ -10,6 +10,7 @@ deterministic for a fixed spec (fixed evaluation order, no time-based seeds,
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -190,12 +191,15 @@ def _check_budget(tmax, dt):
 def _steps_for(tmax, dt, exact_dt):
     """Step count covering tmax; without exact_dt the step shrinks to land on T.
 
-    A step that underflowed to zero or makes tmax / dt overflow is refused.
+    A step that underflowed to zero, makes tmax / dt overflow or is returned
+    subnormal, where eps^2/dt would overflow for a sound eps, is refused.
     """
-    if not (dt > 0 and math.isfinite(tmax / dt)):
-        raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}")
-    n = max(1, math.ceil(tmax / dt - 1e-12))
-    return (n, dt) if exact_dt else (n, tmax / n)
+    if dt > 0 and math.isfinite(tmax / dt):
+        n = max(1, math.ceil(tmax / dt - 1e-12))
+        dt = dt if exact_dt else tmax / n
+        if dt >= sys.float_info.min:
+            return n, dt
+    raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}")
 
 
 MIN_PROBE_STEPS = 50

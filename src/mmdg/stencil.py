@@ -4,7 +4,6 @@ node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps an
 energy_history march with it."""
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -95,13 +94,10 @@ class StencilStepper:
         LIVE_TOL times the spectrum's largest, are powered; the rest come out as
         exact zeros.  The cut needs dt <= dt_stab, where the energy theorem keeps
         dropped roundoff from growing; otherwise, or with no dt_stab, all are
-        powered.  One thread per CPU builds and powers the symbol of a contiguous
-        slab of live frequencies with the same calls per frequency, so bytes do
-        not depend on the split.
+        powered.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        from concurrent.futures import ThreadPoolExecutor  # kept out of `import mmdg`
         spectrum = np.fft.rfft(packed, axis=0)
         try:  # slab without b_h has no dt_stab
             cut = self.config.dt <= scheme.stable_dt(self.config)
@@ -110,13 +106,7 @@ class StencilStepper:
         size = np.abs(spectrum).max(axis=1)
         dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         spectrum[dead], live = 0.0, np.flatnonzero(~dead)
-        workers = max(1, min(_cpu_count(), len(live)))  # an all-zero state has no live one
-
-        def power_slab(slab):  # numpy's matmul and einsum release the GIL
-            spectrum[slab] = _apply_matrix_power(self.symbol(slab), n_steps, spectrum[slab])
-
-        with ThreadPoolExecutor(workers) as pool:  # map re-raises a worker's error
-            list(pool.map(power_slab, np.array_split(live, workers)))
+        spectrum[live] = _apply_matrix_power(self.symbol(live), n_steps, spectrum[live])
         return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
 
     def g_nodes(self, packed):
@@ -130,13 +120,11 @@ class StencilStepper:
 
     def g_norm_sq(self, packed):
         """|||g|||^2 of a packed state, or one per state of a stack."""
+        if packed.ndim > 2 and packed.shape[-2] == 1:
+            # einsum sums a stack of one-cell states in another order than each state
+            return np.array([self.g_norm_sq(state) for state in packed])
         weights = self.config.space.weights
         return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _apply_matrix_power(mats, exponent, vecs):

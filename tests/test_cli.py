@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mmdg
 from mmdg.cli import build_parser, main, read_config_file
 
 
@@ -83,6 +87,25 @@ def test_underflowing_step_exits_cleanly(mode, capsys):
     err = capsys.readouterr().err
     assert "mmdg: error:" in err and "too small to step" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--cells", "4", "--eps", "1", "--tmax", "1e-320"],
+        ["converge", "--cells", "8,16,32", "--eps", "1", "--tmax", "1e-320"],
+        ["ap-limit", "--cells", "8", "--eps", "1", "--tmax", "1e-320"],
+        ["solve", "--eps", "1", "--dt", "1e-320", "--force-dt", "--tmax", "1e-318"],
+    ],
+    ids=["solve", "converge", "ap-limit", "solve-force-dt"],
+)
+def test_subnormal_step_exits_cleanly(argv, capsys):
+    # the step that lands on tmax is subnormal, so eps^2/dt would overflow at
+    # eps = 1 and blame eps; the step itself is refused first
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mmdg: error:" in err and "too small to step" in err
+    assert "eps=" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -430,7 +453,10 @@ AP_LIMIT_FILES = {
 }
 
 
-# the whole CSV of two small converge runs: one measured against its
+# ill-prepared data hold two live frequencies, so propagate powers a batch of them
+ONE_CPU_ARGV = "converge --k 2 --cells 8,16,32 --eps 0.1 --tmax 0.05 --ic ill-prepared"
+
+# the whole CSV of three small converge runs: two measured against their
 # reference run (l2_distance), one against the exact heat-limit solution
 # (l2_error); the same bytes with BLAS on one thread or its default
 CONVERGE_FILES = {
@@ -459,6 +485,19 @@ CONVERGE_FILES = {
         "1e-08,16,0.00090909090909090909,0.015528356652291447,1.49630117937169,"
         "2.2832119689486002e-10,3.4314706796907459,\r\n",
     ),
+    "telegraph-ill-prepared": (
+        ONE_CPU_ARGV,
+        "# mode=converge;model=telegraph;nv=2;degree=2;cells=8,16,32;eps=0.10000000000000001;"
+        "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;"
+        "ic=ill-prepared;out={out};force_dt=False;continuum_moments=False\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
+        "0.10000000000000001,8,0.0022727272727272731,0.0052819334700691329,nan,"
+        "0.0012576619505560494,nan,\r\n"
+        "0.10000000000000001,16,0.00029585798816568048,0.00070274137504522697,"
+        "2.9100003825888359,0.00014344425574132645,3.1321820881536175,\r\n"
+        "0.10000000000000001,32,3.7174721189591079e-05,8.5644157361709718e-05,"
+        "3.036567107860805,1.6846827109757276e-05,3.0899413877583788,\r\n",
+    ),
 }
 
 
@@ -469,6 +508,33 @@ def test_converge_file_bytes_pinned(case, tmp_path):
     assert main(argv.split() + ["--out", out]) == 0
     with open(out, newline="") as fh:
         assert fh.read() == expected.format(out=out)
+
+
+_AFFINITY_RUN = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from mmdg.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs",
+)
+def test_converge_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    src = os.path.dirname(os.path.dirname(mmdg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    rows = []
+    for cpus in ("one", "all"):
+        out = str(tmp_path / f"{cpus}.csv")
+        argv = [sys.executable, "-c", _AFFINITY_RUN, cpus, *ONE_CPU_ARGV.split(), "--out", out]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        with open(out, "rb") as fh:
+            rows.append(fh.read().split(b"\n", 1)[1])  # the header echoes out=
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("case", AP_LIMIT_FILES)

@@ -411,6 +411,24 @@ def test_stencil_equals_scheme_step_properties(model, k, n_cells, eps, n_steps, 
     assert _rel_diff(stepper.propagate(packed, n_steps), applied) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["telegraph", "slab"]),
+    k=st.integers(0, 2),
+    n_cells=st.integers(1, 16),
+    n_states=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_norms_equal_per_state_norms(model, k, n_cells, n_states, seed):
+    # the march takes its monitors one chunk at a time, so solve's bytes must
+    # not depend on how many states CHUNK_BYTES lets a chunk hold
+    spec = ExperimentSpec(mode="solve", model=model, nv=4, degree=k, cells=(n_cells,), eps=(0.3,))
+    stepper = StencilStepper(build_config(spec, n_cells, 0.3, dt=1e-3))
+    stack = np.random.default_rng(seed).standard_normal((n_states, n_cells, stepper.block))
+    for norm_sq in (stepper.rho_norm_sq, stepper.g_norm_sq):
+        assert np.array_equal(norm_sq(stack), [norm_sq(packed) for packed in stack])
+
+
 def test_stencil_build_steps_once_at_the_mesh_width(monkeypatch):
     # five cells of width h = 2 pi / 13 span a mesh whose own width is not h
     spec = ExperimentSpec(mode="solve", cells=(13,), eps=(0.3,))
@@ -479,24 +497,6 @@ def _record_powered(monkeypatch):
     return powered, power
 
 
-@pytest.mark.parametrize("n_cells", [1, 2, 7, 16])
-@pytest.mark.parametrize("model", ["slab", "telegraph"])
-def test_propagate_bytes_do_not_depend_on_the_worker_count(monkeypatch, model, n_cells):
-    stepper, packed = _propagate_case(model, n_cells)
-    n_freqs = n_cells // 2 + 1
-    slabs, _ = _record_powered(monkeypatch)
-    for n_steps in (0, 1, 2**20 - 1):
-        outs = []
-        for workers in (1, 2, 3, n_freqs + 1):
-            monkeypatch.setattr(stencil, "_cpu_count", lambda w=workers: w)
-            slabs.clear()
-            outs.append(stepper.propagate(packed, n_steps))
-            # one nonempty slab per worker, at most one per frequency, covering them all
-            assert len(slabs) == min(workers, n_freqs) and min(slabs) >= 1
-            assert sum(slabs) == n_freqs
-        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
-
-
 def _initial_packed(config, ic="sin"):
     ic = IC_REGISTRY[ic]
     return pack_state(scheme.init_state(ic.rho0, ic.g0, config))
@@ -562,7 +562,7 @@ def test_propagate_powers_every_frequency_without_a_stable_step(monkeypatch):
 
 
 def test_propagate_of_zeros_is_zeros():
-    # no frequency is live, and the pool still gets one worker
+    # no frequency is live, so the power gets an empty stack
     stepper, packed = _propagate_case("slab", 16)
     assert np.array_equal(stepper.propagate(np.zeros_like(packed), 1000), np.zeros_like(packed))
 
@@ -576,21 +576,22 @@ def test_propagate_keeps_every_frequency_of_a_nan_state(monkeypatch):
     assert sum(powered) == 9 and np.isnan(out).all()
 
 
-def test_propagate_refuses_negative_steps_before_any_thread(monkeypatch):
+def test_propagate_starts_no_thread(monkeypatch):
+    # BLAS's own thread setting is the only parallelism, so the bytes do not
+    # depend on how many CPUs the process may use
     stepper, packed = _propagate_case("telegraph", 7)
 
     def refuse(thread):
         raise RuntimeError("a thread started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    with pytest.raises(RuntimeError, match="a thread started"):
-        stepper.propagate(packed, 1)
+    assert np.isfinite(stepper.propagate(packed, 2**20 - 1)).all()
     with pytest.raises(ValueError, match="n_steps must be >= 0"):
         stepper.propagate(packed, -1)
 
 
 def test_import_loads_no_thread_pool():
-    # propagate imports the pool on its first call, so importing mmdg stays as cheap
+    # nothing in mmdg imports a thread pool, so importing it stays cheap
     src = os.path.dirname(os.path.dirname(harness.__file__))
     code = "import sys, mmdg; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
