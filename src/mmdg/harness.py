@@ -20,7 +20,7 @@ from .fields import DGField, KineticField, Mesh1D, l2_distance, l2_error
 from .limit import init_limit_state, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
-from .stencil import StencilStepper, _stencil_march, energy_history, pack_state
+from .stencil import LiveSpectrum, StencilStepper, energy_history, pack_state
 from .stencil import run_fixed_steps, unpack_state
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
@@ -252,7 +252,7 @@ class RunResult:
 
 
 def run_solve(spec):
-    """Time-march a single (N, eps) case on the stencil, logging monitors every step."""
+    """Time-march a single (N, eps) case on its live spectrum, logging monitors every step."""
     spec.validate()
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
@@ -262,18 +262,15 @@ def run_solve(spec):
     config = scheme.with_dt(config, dt)
     state = _initial_state(spec, config)
 
-    stepper = StencilStepper(config)
+    live = LiveSpectrum(StencilStepper(config), pack_state(state))
     rows = []
-    for states, energies, ok, rho_sq, g_sq, lag_sq in _stencil_march(
-        stepper, pack_state(state), n_steps, GROWTH_LIMIT
-    ):
-        mean_g = config.space.bracket(np.moveaxis(stepper.g_nodes(states), -2, 0))
+    for spectra, energies, ok, rho_sq, g_sq, lag_sq in live.march(n_steps, GROWTH_LIMIT):
         monitors = zip(
             energies.tolist(),
             np.sqrt(rho_sq).tolist(),
             np.sqrt(g_sq).tolist(),
-            np.sqrt(stepper.rho_norm_sq(mean_g)).tolist(),
-            (states[..., 0].sum(axis=-1) * config.mesh.h).tolist(),
+            np.sqrt(live.mean_g_norm_sq(spectra)).tolist(),
+            live.mass(spectra).tolist(),
         )
         for en, rho_norm, g_norm, mean_g_norm, mass in monitors:
             n = len(rows)
@@ -291,7 +288,7 @@ def run_solve(spec):
             )
     if not ok:
         rows[-1]["status"] = "diverged"
-    state = unpack_state(states[-1], config, n, n * dt, math.sqrt(lag_sq[-1]))
+    state = unpack_state(live.packed(spectra[-1]), config, n, n * dt, math.sqrt(lag_sq[-1]))
 
     result = RunResult(
         spec=spec,

@@ -179,13 +179,37 @@ def header_line(items):
     return "# " + ";".join(f"{key}={format_value(v)}" for key, v in items.items()) + "\n"
 
 
+# the cell types of every table mmdg writes, by a %-format equal to format_value's
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%s", str: "%s"}
+
+
 def write_table(path, header, columns, rows):
-    """Every output file: header line, column names, then rows, values by format_value."""
+    """Every output file: header line, column names, then rows, values by format_value.
+
+    Each row is formatted in one operation, by a %-template kept per tuple of
+    cell types; a row holding another type goes through format_value cell by
+    cell.  Rows end in csv's \\r\\n.  If a cell needs csv's quoting, the csv
+    module writes the table instead, to the same bytes.
+    """
+    rows = [tuple(columns), *map(tuple, rows)]
+    templates, lines = {}, []
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            cells = [_CELL_FORMATS.get(t) for t in types]
+            templates[types] = None if None in cells else ",".join(cells)
+        template = templates[types]
+        lines.append(",".join(map(format_value, row)) if template is None else template % row)
+    text = "\r\n".join(lines) + "\r\n"
+    # csv quotes a cell holding a comma, a quote or a line break, and a lone empty cell
+    plain = text.count(",") == sum(map(len, rows)) - len(rows) and "" not in lines
+    plain = plain and '"' not in text and text.count("\n") == text.count("\r") == len(rows)
     with open(path, "w", newline="") as fh:
         fh.write(header_line(header))
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([format_value(v) for v in row] for row in rows)
+        if plain:
+            fh.write(text)
+        else:
+            csv.writer(fh).writerows([format_value(v) for v in row] for row in rows)
 
 
 def save_state(state, config, path):

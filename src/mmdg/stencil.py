@@ -1,7 +1,8 @@
 """The compiled one-step map on the packed layout, one (n_cells, (1 + nv)(k + 1))
 array per state: per cell, the k + 1 modes of rho, then those of g at each velocity
 node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps and
-energy_history march with it."""
+energy_history march with it; LiveSpectrum marches its Fourier symbol on the
+frequencies a state holds, for solve."""
 
 import math
 from dataclasses import replace
@@ -12,7 +13,7 @@ from . import scheme
 from .basis import mass_diagonal
 from .fields import DGField, KineticField, Mesh1D
 
-LIVE_TOL = 1e-15  # propagate's roundoff floor, relative to the largest spectral coefficient
+LIVE_TOL = 1e-15  # the live cut's roundoff floor, relative to the largest spectral coefficient
 
 
 def pack_state(state):
@@ -86,36 +87,24 @@ class StencilStepper:
         """Apply the step map n_steps times via its Fourier diagonalization.
 
         The mesh is uniform and periodic, so the step is block-circulant.  Per
-        frequency, squarings of the symbol are batched matrix products and each
-        set bit of n_steps applies the current square to the spectrum as a
-        batched matvec, so the cost grows as log n_steps.  Every step count,
-        zero included, takes this path, and differs from literal stepping only
-        at roundoff.  Only live frequencies, whose largest coefficient exceeds
-        LIVE_TOL times the spectrum's largest, are powered; the rest come out as
-        exact zeros.  The cut needs dt <= dt_stab, where the energy theorem keeps
-        dropped roundoff from growing; otherwise, or with no dt_stab, all are
-        powered.
+        live frequency (see LiveSpectrum), squarings of the symbol are batched
+        matrix products and each set bit of n_steps applies the current square
+        to the spectrum as a batched matvec, so the cost grows as log n_steps.
+        Every step count, zero included, takes this path, and differs from
+        literal stepping only at roundoff.
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        spectrum = np.fft.rfft(packed, axis=0)
-        try:  # slab without b_h has no dt_stab
-            cut = self.config.dt <= scheme.stable_dt(self.config)
-        except ValueError:
-            cut = False
-        size = np.abs(spectrum).max(axis=1)
-        dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
-        spectrum[dead], live = 0.0, np.flatnonzero(~dead)
-        spectrum[live] = _apply_matrix_power(self.symbol(live), n_steps, spectrum[live])
-        return np.fft.irfft(spectrum, n=self.config.mesh.n_cells, axis=0)
+        live = LiveSpectrum(self, packed)
+        return live.packed(_apply_matrix_power(live.symbol, n_steps, live.start))
 
     def g_nodes(self, packed):
         """The g part of a packed state, or of a stack of them, as (..., n_cells, nv, k + 1)."""
-        return packed[..., self._k1 :].reshape(*packed.shape[:-1], -1, self._k1)
+        nv = self.config.space.n_nodes
+        return packed[..., self._k1 :].reshape(*packed.shape[:-1], nv, self._k1)
 
     def rho_norm_sq(self, packed):
-        """||rho||^2 of a packed state, or one per state of a stack.  It reads only the
-        first k + 1 columns, so it also gives ||.||^2 of any stack of scalar fields."""
+        """||rho||^2 of a packed state, or one per state of a stack."""
         return np.einsum("...ij,j->...", packed[..., : self._k1] ** 2, self._mass)
 
     def g_norm_sq(self, packed):
@@ -125,6 +114,80 @@ class StencilStepper:
             return np.array([self.g_norm_sq(state) for state in packed])
         weights = self.config.space.weights
         return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
+
+
+class LiveSpectrum:
+    """A packed state's rfft along the cells, kept only at its live frequencies.
+
+    Live are the frequencies whose largest coefficient exceeds LIVE_TOL times
+    the spectrum's largest.  The cut needs dt <= dt_stab, where the energy
+    theorem keeps the dropped roundoff from growing; otherwise, with no
+    dt_stab, or with a NaN in the data, every frequency is live.  A state here
+    is a (live, block) spectrum; the dropped frequencies are exact zeros.
+    Norms follow by Parseval: a column's sum of squares over the cells is
+    sum_j weights_j |X_j|^2, with weight 1/N at j = 0 and at the Nyquist
+    frequency and 2/N elsewhere.
+    """
+
+    def __init__(self, stepper, packed):
+        config = self.config = stepper.config
+        self.stepper = stepper
+        spectrum = np.fft.rfft(packed, axis=0)
+        try:  # slab without b_h has no dt_stab
+            cut = config.dt <= scheme.stable_dt(config)
+        except ValueError:
+            cut = False
+        size = np.abs(spectrum).max(axis=1)
+        dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
+        self.freqs = np.flatnonzero(~dead)
+        self.start = spectrum[self.freqs]
+        self.symbol = stepper.symbol(self.freqs)
+        n = config.mesh.n_cells
+        self.weights = np.where((self.freqs == 0) | (2 * self.freqs == n), 1.0, 2.0) / n
+
+    def step(self, spectrum):
+        """One step: one batched matvec by the symbol, without BLAS."""
+        return np.einsum("fab,fb->fa", self.symbol, spectrum)
+
+    def packed(self, spectrum):
+        """The packed state of a live spectrum."""
+        n = self.config.mesh.n_cells
+        full = np.zeros((n // 2 + 1, self.stepper.block), complex)
+        full[self.freqs] = spectrum
+        return np.fft.irfft(full, n=n, axis=0)
+
+    def _weighted_sum_sq(self, spectra, column_weights):
+        """Per state of a (states, live, columns) stack, the column_weights-weighted
+        sum of squares over cells and columns: one contiguous sum per state, so no
+        state's value depends on the stack around it."""
+        weights = np.multiply.outer(self.weights, column_weights)
+        terms = np.ascontiguousarray((spectra.real**2 + spectra.imag**2) * weights)
+        return terms.reshape(len(spectra), -1).sum(axis=-1)
+
+    def norms_sq(self, spectra):
+        """(||rho||^2, |||g|||^2), one each per state of a stack of live spectra."""
+        mass, k1 = self.stepper._mass, self.stepper._k1
+        g_weights = np.multiply.outer(self.config.space.weights, mass).ravel()
+        rho_sq = self._weighted_sum_sq(spectra[..., :k1], mass)
+        return rho_sq, self._weighted_sum_sq(spectra[..., k1:], g_weights)
+
+    def mean_g_norm_sq(self, spectra):
+        """||<g>||^2 per state of a stack of live spectra."""
+        # one small product per state and frequency: one over the stack would
+        # round by the BLAS thread count and the stack's length
+        mean = self.config.space.bracket(self.stepper.g_nodes(spectra), axis=2)
+        return self._weighted_sum_sq(mean, self.stepper._mass)
+
+    def mass(self, spectra):
+        """The integral of rho per state of a stack, from the zero frequency."""
+        if not self.freqs.size or self.freqs[0]:
+            return np.zeros(len(spectra))
+        return spectra[:, 0, 0].real * self.config.mesh.h
+
+    def march(self, n_steps, stop_factor=None):
+        """The march of the live spectrum for n = 0..n_steps; see _march."""
+        eps_sq = self.config.eps**2
+        return _march(self.step, self.norms_sq, self.start, n_steps, eps_sq, stop_factor)
 
 
 def _apply_matrix_power(mats, exponent, vecs):
@@ -163,19 +226,19 @@ def run_fixed_steps(config, state, n_steps):
 CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes
 
 
-def _stencil_march(stepper, packed, n_steps, stop_factor=None):
-    """Yield the stencil march for n = 0..n_steps as chunks (states, E, ok, rho_sq, g_sq, lag_sq).
+def _march(advance, norms_sq, state, n_steps, eps_sq, stop_factor=None):
+    """Yield the march from state for n = 0..n_steps as chunks (states, E, ok, rho_sq, g_sq, lag_sq).
 
-    states stacks consecutive packed states; per state, rho_sq = ||rho^n||^2,
-    g_sq = |||g^n|||^2, lag_sq = |||g^{n-1}|||^2 (|||g^0|||^2 at n = 0) and
-    E = rho_sq + eps^2 lag_sq.  The march ends at the first E_n that is
-    non-finite or beyond stop_factor * E_0: that chunk is cut after it and
-    yielded with ok False; no stop_factor means no limit.  A chunk holds at
-    most CHUNK_BYTES of states, and its stack is overwritten by the next one.
+    advance maps a state to the next, and norms_sq a stack of states to their
+    (||rho||^2, |||g|||^2).  states stacks consecutive states; per state,
+    rho_sq = ||rho^n||^2, g_sq = |||g^n|||^2, lag_sq = |||g^{n-1}|||^2
+    (|||g^0|||^2 at n = 0) and E = rho_sq + eps^2 lag_sq.  The march ends at
+    the first E_n that is non-finite or beyond stop_factor * E_0: that chunk
+    is cut after it and yielded with ok False; no stop_factor means no limit.
+    A chunk holds at most CHUNK_BYTES of states, and its stack is overwritten
+    by the next one.
     """
-    eps_sq = stepper.config.eps**2
-    buffer = np.empty((max(1, CHUNK_BYTES // packed.nbytes),) + packed.shape)
-    g_last = np.array([stepper.g_norm_sq(packed)])  # E_0 pairs rho^0 with g^0
+    buffer = np.empty((max(1, CHUNK_BYTES // max(1, state.nbytes)),) + state.shape, state.dtype)
     limit = math.inf
     first = 0  # step number of the chunk's first state
     while first <= n_steps:
@@ -184,10 +247,11 @@ def _stencil_march(stepper, packed, n_steps, stop_factor=None):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(len(states)):
                 if first + i:
-                    packed = stepper.apply(packed)
-                states[i] = packed
-            rho_sq, g_sq = stepper.rho_norm_sq(states), stepper.g_norm_sq(states)
-            lag_sq = np.concatenate([g_last, g_sq[:-1]])
+                    state = advance(state)
+                states[i] = state
+            rho_sq, g_sq = norms_sq(states)
+            # E_0 pairs rho^0 with g^0
+            lag_sq = np.concatenate([g_sq[:1] if first == 0 else g_last, g_sq[:-1]])
             energies = rho_sq + eps_sq * lag_sq
             if first == 0 and stop_factor:
                 limit = stop_factor * energies[0]
@@ -198,6 +262,16 @@ def _stencil_march(stepper, packed, n_steps, stop_factor=None):
             return
         yield states, energies, True, rho_sq, g_sq, lag_sq
         g_last, first = g_sq[-1:], first + len(states)
+
+
+def _stencil_march(stepper, packed, n_steps, stop_factor=None):
+    """_march of packed states, one StencilStepper.apply per step."""
+
+    def norms_sq(states):
+        return stepper.rho_norm_sq(states), stepper.g_norm_sq(states)
+
+    eps_sq = stepper.config.eps**2
+    return _march(stepper.apply, norms_sq, packed, n_steps, eps_sq, stop_factor)
 
 
 def energy_history(config, state, n_steps, stop_factor=None):

@@ -67,7 +67,8 @@ class VelocitySpace:
         lead = (slice(None),) * axis
         upper, lower = lead + (slice(half, None),), lead + (slice(half - 1, None, -1),)
         folded = combine(values[upper], values[lower])
-        flat = folded.reshape(folded.shape[: axis + 1] + (-1,))
+        # the trailing size spelled out, which -1 cannot infer when a leading axis is empty
+        flat = folded.reshape(*folded.shape[: axis + 1], int(np.prod(folded.shape[axis + 1 :])))
         return (weights[half:] @ flat).reshape(folded.shape[:axis] + folded.shape[axis + 1 :])
 
     def moments(self):

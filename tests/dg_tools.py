@@ -1,4 +1,5 @@
-"""DG tools the field and operator tests use beside the library's own.
+"""DG tools the field and operator tests use beside the library's own, and
+the cell-by-cell table writer that the fast one is tested against.
 
 Projection modes of project_in_mode:
     l2            cell moments 0..k match the target (mmdg.fields.project).
@@ -9,10 +10,13 @@ make the one-sided operators exact, and jumps, averages and the L2 inner
 product state their weak-form identities.
 """
 
+import csv
+
 import numpy as np
 
 from mmdg.basis import legendre_basis, mass_diagonal
 from mmdg.fields import DGField, KineticField, interface_traces, project
+from mmdg.scheme import format_value, header_line
 
 L2 = "l2"
 RADAU_MINUS = "radau-minus"
@@ -92,6 +96,16 @@ def averages(field):
     """{u} = (u(+) + u(-))/2 at every interface."""
     minus, plus = interface_traces(field)
     return 0.5 * (plus + minus)
+
+
+def write_table_by_cell(path, header, columns, rows):
+    """The csv-module writer that mmdg.scheme.write_table must match byte for byte:
+    header line, column names, then rows, each value through format_value."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header_line(header))
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([format_value(v) for v in row] for row in rows)
 
 
 def inner(a, b):

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dg_tools import eval_from_right
+from dg_tools import eval_from_right, write_table_by_cell
+from mmdg import scheme
 from mmdg.fields import DGField, KineticField, Mesh1D
 from mmdg.limit import init_limit_state, step_limit
 from mmdg.operators import ALT_LR, CENTRAL, FLUXES
@@ -380,6 +381,66 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     path.write_text("".join(lines[:-5]))
     with pytest.raises(ValueError, match="coefficient rows"):
         load_state(path)
+
+
+# cells of every type a table row may hold; -0.0, nan, +-inf and ints past
+# 2^53 included, and the numpy scalars that indexing an array gives
+_NUMBER_CELLS = {
+    "float": st.floats(),
+    "float64": st.floats().map(np.float64),
+    "int": st.integers(-(10**20), 10**20),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "status": st.sampled_from(["ok", "diverged", "non-monotone", "rho", "g"]),
+}
+_ANY_CELL = st.one_of(
+    *_NUMBER_CELLS.values(),
+    st.floats(width=32).map(np.float32),
+    st.text(alphabet="a ,;\"\r\n\x00-", max_size=4),  # csv quotes some of these
+    st.none(),
+    st.tuples(st.floats(), st.integers()),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Column names and rows: mostly one type per column, as the drivers write,
+    sometimes any cell anywhere."""
+    n_cols = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        kinds = draw(st.lists(st.sampled_from(list(_NUMBER_CELLS)), min_size=n_cols, max_size=n_cols))
+        row = st.tuples(*(_NUMBER_CELLS[kind] for kind in kinds))
+    else:
+        row = st.lists(_ANY_CELL, min_size=n_cols, max_size=n_cols)
+    columns = draw(st.lists(st.sampled_from(["n", "t", "energy", "a,b", ""]), min_size=n_cols,
+                            max_size=n_cols))
+    return columns, draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+# each cell that csv quotes: a quote, a comma, a line break, a lone empty cell
+@example(table=(["status"], [('a"b',)]))
+@example(table=(["n", "flag"], [(1, "a,b")]))
+@example(table=(["n", "flag"], [(1, "a\rb"), (2, "a\nb")]))
+@example(table=(["flag"], [("",)]))
+def test_write_table_matches_the_cell_by_cell_writer(tmp_path, table):
+    columns, rows = table
+    header = {"mode": "solve", "eps": 0.1, "cells": (4, 8)}
+    scheme.write_table(tmp_path / "fast.csv", header, columns, rows)
+    write_table_by_cell(tmp_path / "oracle.csv", header, columns, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_checkpoint_bytes_match_the_cell_by_cell_writer(tmp_path, monkeypatch):
+    # checkpoint rows mix str, int and numpy float cells
+    config = _config(space=SLAB, eps=0.05, dt=3e-4, k=2, n=5)
+    state = step(_well_prepared(config), config)
+    save_state(state, config, tmp_path / "fast.csv")
+    monkeypatch.setattr(scheme, "write_table", write_table_by_cell)
+    save_state(state, config, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_with_dt_copies():
