@@ -1,8 +1,8 @@
 """The compiled one-step map on the packed layout, one (n_cells, (1 + nv)(k + 1))
 array per state: per cell, the k + 1 modes of rho, then those of g at each velocity
-node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps and
-energy_history march with it; LiveSpectrum marches its Fourier symbol on the
-frequencies a state holds, for solve."""
+node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps
+marches with it; LiveSpectrum marches its Fourier symbol on the frequencies a
+state holds, for solve and for energy_history wherever the cut drops one."""
 
 import math
 from dataclasses import replace
@@ -58,6 +58,7 @@ class StencilStepper:
         block = self.block = (1 + config.space.n_nodes) * k1
         self._k1 = k1
         self._mass = mass_diagonal(config.degree, config.mesh.h)
+        self._g_weights = np.multiply.outer(config.space.weights, self._mass).ravel()
         width = 2 * self.REACH + 1
         n_probe = 1 << (width * block - 1).bit_length()
         probe = replace(config, mesh=Mesh1D(0.0, n_probe * config.mesh.h, n_probe))
@@ -109,11 +110,7 @@ class StencilStepper:
 
     def g_norm_sq(self, packed):
         """|||g|||^2 of a packed state, or one per state of a stack."""
-        if packed.ndim > 2 and packed.shape[-2] == 1:
-            # einsum sums a stack of one-cell states in another order than each state
-            return np.array([self.g_norm_sq(state) for state in packed])
-        weights = self.config.space.weights
-        return np.einsum("...iqj,q,j->...", self.g_nodes(packed) ** 2, weights, self._mass)
+        return np.einsum("...ij,j->...", packed[..., self._k1 :] ** 2, self._g_weights)
 
 
 class LiveSpectrum:
@@ -166,10 +163,9 @@ class LiveSpectrum:
 
     def norms_sq(self, spectra):
         """(||rho||^2, |||g|||^2), one each per state of a stack of live spectra."""
-        mass, k1 = self.stepper._mass, self.stepper._k1
-        g_weights = np.multiply.outer(self.config.space.weights, mass).ravel()
-        rho_sq = self._weighted_sum_sq(spectra[..., :k1], mass)
-        return rho_sq, self._weighted_sum_sq(spectra[..., k1:], g_weights)
+        stepper = self.stepper
+        rho_sq = self._weighted_sum_sq(spectra[..., : stepper._k1], stepper._mass)
+        return rho_sq, self._weighted_sum_sq(spectra[..., stepper._k1 :], stepper._g_weights)
 
     def mean_g_norm_sq(self, spectra):
         """||<g>||^2 per state of a stack of live spectra."""
@@ -280,8 +276,17 @@ def energy_history(config, state, n_steps, stop_factor=None):
     E_0 pairs the initial density with the initial g (full starting energy).
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
+    Where the live cut drops a frequency (data that leave one empty, at
+    dt <= dt_stab) the march steps the live spectrum, one small matvec per
+    live frequency; where every frequency is live it steps
+    StencilStepper.apply, which then costs less than a spectral step.
     """
-    march = _stencil_march(StencilStepper(config), pack_state(state), n_steps, stop_factor)
+    stepper, packed = StencilStepper(config), pack_state(state)
+    live = LiveSpectrum(stepper, packed)
+    if live.freqs.size < config.mesh.n_cells // 2 + 1:
+        march = live.march(n_steps, stop_factor)
+    else:
+        march = _stencil_march(stepper, packed, n_steps, stop_factor)
     energies = []
     for _, chunk, ok, *_ in march:
         energies.append(chunk)

@@ -561,6 +561,35 @@ def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# the whole CSV of a small scan whose probes take both marches: each eps's
+# first probe, at dt_stab on one live frequency, steps the live spectrum, and
+# the doubling and bisection probes above dt_stab step apply
+SCAN_ARGV = "stability-scan --model slab --nv 4 --k 1 --cells 16 --eps 1e-2,1 --tmax 0.1"
+SCAN_FILE = (
+    "# mode=stability-scan;model=slab;nv=4;degree=1;cells=16;eps=0.01,1;dt=None;flux=alt-lr;"
+    "include_bh=True;" + _SPEC_TAIL + "tmax=0.10000000000000001;ic=sin;out={out};"
+    "force_dt=False;continuum_moments=False;growth_limit=10\n"
+    "eps,n_cells,dt_stab,dt_empirical,ratio,flag\r\n"
+    "0.01,16,0.0020347139848343313,0.025179585562324851,12.375,\r\n"
+    "1,16,0.01195569629521521,0.13450158332117113,11.250000000000002,\r\n"
+)
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-default"])
+def test_scan_file_bytes_pinned(threads, tmp_path):
+    src = os.path.dirname(os.path.dirname(mmdg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = str(tmp_path / "scan.csv")
+    argv = [sys.executable, "-c", _CLI_RUN, *SCAN_ARGV.split(), "--out", out]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    with open(out, newline="") as fh:
+        assert fh.read() == SCAN_FILE.format(out=out)
+
+
 @pytest.mark.parametrize("case", AP_LIMIT_FILES)
 def test_ap_limit_file_bytes_pinned(case, tmp_path):
     argv, expected = AP_LIMIT_FILES[case]
