@@ -163,19 +163,12 @@ def build_config(spec, n_cells, eps, dt):
 def resolve_dt(spec, config, margin=1.0):
     """Apply the dt policy: auto, clamped user value, or forced override.
 
-    The bound is safety * margin * dt_stab; returns (dt, dt_override).  A dt
-    below the default policy's step, the bound at the default safety, may
-    plan at most MAX_STEPS steps to tmax; that step itself is never refused.
+    The bound is safety * margin * dt_stab; returns (dt, dt_override).
     """
-    dt_stab = scheme.stable_dt(config)
-    bound = spec.safety * margin * dt_stab
+    bound = spec.safety * margin * scheme.stable_dt(config)
     if spec.dt is None or (spec.dt > bound and not spec.force_dt):
-        dt, overrode = bound, False
-    else:
-        dt, overrode = spec.dt, spec.dt > bound
-    if dt < ExperimentSpec.safety * margin * dt_stab:
-        _check_budget(spec.tmax, dt)
-    return dt, overrode
+        return bound, False
+    return spec.dt, spec.dt > bound
 
 
 def _check_budget(tmax, dt):
@@ -258,6 +251,7 @@ def run_solve(spec):
         raise ValueError("solve mode needs exactly one cell count and one eps")
     config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
     dt, overrode = resolve_dt(spec, config)
+    _check_budget(spec.tmax, dt)  # a row per step: every plan is held to the budget
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     config = scheme.with_dt(config, dt)
     state = _initial_state(spec, config)
@@ -312,10 +306,12 @@ REF_FACTOR_T = 16  # and the finest dt divided by this
 def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
-    The first level's dt is resolve_dt's; each finer level's is proportional
-    to h^(k+1), capped by safety * dt_stab.  Every level, a forced one too,
-    shrinks its step to land on tmax, where the errors are measured.  The
-    reference is None where the exact limit solution serves instead.
+    The first level's dt is resolve_dt's, held to the MAX_STEPS budget where
+    it is finer than the default policy's step; each finer level's is
+    proportional to h^(k+1), capped by safety * dt_stab.  Every level, a
+    forced one too, shrinks its step to land on tmax, where the errors are
+    measured.  The reference is None where the exact limit solution serves
+    instead.
     """
     levels = []
     for n in cells:
@@ -323,6 +319,8 @@ def _convergence_levels(spec, eps, cells):
         h_power = config.mesh.h ** (spec.degree + 1)
         if not levels:
             dt, _ = resolve_dt(spec, config)
+            if dt < ExperimentSpec.safety * scheme.stable_dt(config):
+                _check_budget(spec.tmax, dt)  # a step finer than the default policy's
             anchor = dt / h_power
         else:
             dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
@@ -477,6 +475,7 @@ def run_ap_limit(spec):
     ic = IC_REGISTRY[spec.ic]
     config0 = build_config(spec, spec.cells[0], 0.0, dt=1.0)
     dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0)
+    _check_budget(spec.tmax, dt)  # it takes every step: every plan is held to the budget
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     config = replace(config0, eps=np.array(spec.eps, dtype=float), dt=dt)  # checks every eps
     space, mesh, degree = config.space, config.mesh, config.degree

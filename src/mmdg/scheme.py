@@ -165,13 +165,16 @@ def energy(state, config):
     return state.rho.norm() ** 2 + _single_eps(config) ** 2 * state.g_norm_lag**2
 
 
+def _format_of(kind):
+    """The %-format of a scalar of type kind: floats to 17 digits, the rest by str."""
+    return "%.17g" if issubclass(kind, float) else "%s"
+
+
 def format_value(value):
-    """One header or CSV value: floats to 17 digits, tuples comma-joined."""
-    if isinstance(value, float):
-        return f"{value:.17g}"
+    """One header or CSV value by _format_of; tuples comma-joined."""
     if isinstance(value, tuple):
-        return ",".join(format_value(v) for v in value)
-    return str(value)
+        return ",".join(map(format_value, value))
+    return _format_of(type(value)) % value
 
 
 def header_line(items):
@@ -179,37 +182,21 @@ def header_line(items):
     return "# " + ";".join(f"{key}={format_value(v)}" for key, v in items.items()) + "\n"
 
 
-# the cell types of every table mmdg writes, by a %-format equal to format_value's
-_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%s", str: "%s"}
-
-
 def write_table(path, header, columns, rows):
-    """Every output file: header line, column names, then rows, values by format_value.
+    """Every output file: header line, column names, then rows, every line ending in \\n.
 
-    Each row is formatted in one operation, by a %-template kept per tuple of
-    cell types; a row holding another type goes through format_value cell by
-    cell.  Rows end in csv's \\r\\n.  If a cell needs csv's quoting, the csv
-    module writes the table instead, to the same bytes.
+    Each row is one % operation, by a template of _format_of's formats kept
+    per tuple of cell types, so a cell reads as format_value gives it.  Cells
+    are scalars; no cell holds a comma, a quote or a line break.
     """
-    rows = [tuple(columns), *map(tuple, rows)]
-    templates, lines = {}, []
-    for row in rows:
+    templates, lines = {}, [header_line(header)]
+    for row in [tuple(columns), *map(tuple, rows)]:
         types = tuple(map(type, row))
         if types not in templates:
-            cells = [_CELL_FORMATS.get(t) for t in types]
-            templates[types] = None if None in cells else ",".join(cells)
-        template = templates[types]
-        lines.append(",".join(map(format_value, row)) if template is None else template % row)
-    text = "\r\n".join(lines) + "\r\n"
-    # csv quotes a cell holding a comma, a quote or a line break, and a lone empty cell
-    plain = text.count(",") == sum(map(len, rows)) - len(rows) and "" not in lines
-    plain = plain and '"' not in text and text.count("\n") == text.count("\r") == len(rows)
+            templates[types] = ",".join(map(_format_of, types)) + "\n"
+        lines.append(templates[types] % row)
     with open(path, "w", newline="") as fh:
-        fh.write(header_line(header))
-        if plain:
-            fh.write(text)
-        else:
-            csv.writer(fh).writerows([format_value(v) for v in row] for row in rows)
+        fh.write("".join(lines))
 
 
 def save_state(state, config, path):

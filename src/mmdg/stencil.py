@@ -6,6 +6,7 @@ state holds, for solve and for energy_history wherever the cut drops one."""
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -138,9 +139,13 @@ class LiveSpectrum:
         dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         self.freqs = np.flatnonzero(~dead)
         self.start = spectrum[self.freqs]
-        self.symbol = stepper.symbol(self.freqs)
         n = config.mesh.n_cells
         self.weights = np.where((self.freqs == 0) | (2 * self.freqs == n), 1.0, 2.0) / n
+
+    @cached_property
+    def symbol(self):
+        """The step's symbol at the live frequencies, built on first use."""
+        return self.stepper.symbol(self.freqs)
 
     def step(self, spectrum):
         """One step: one batched matvec by the symbol, without BLAS."""

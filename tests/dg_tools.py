@@ -100,10 +100,11 @@ def averages(field):
 
 def write_table_by_cell(path, header, columns, rows):
     """The csv-module writer that mmdg.scheme.write_table must match byte for byte:
-    header line, column names, then rows, each value through format_value."""
+    header line, column names, then rows, each value through format_value, on
+    cells that csv need not quote; every line ends in \n."""
     with open(path, "w", newline="") as fh:
         fh.write(header_line(header))
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([format_value(v) for v in row] for row in rows)
 

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmdg
 from mmdg.cli import build_parser, main, read_config_file
+from mmdg.harness import MODELS, MODES
+from mmdg.scheme import load_state
 
 
 def test_parser_requires_mode():
@@ -152,6 +159,12 @@ def _forbid_steps(monkeypatch):
         ("stability-scan --k 0 --cells 8 --eps 1 --tmax 1e9", "over the budget"),
         # the user dt of the first level plans 1e299 steps
         ("converge --k 1 --cells 8,16,32 --eps 0.1 --dt 1e-300 --tmax 0.1", "over the budget"),
+        # solve and ap-limit take every step: every plan is held to the
+        # budget, the auto step's, a clamped dt's and a forced dt's alike
+        ("solve --k 1 --cells 512 --eps 1e-6 --tmax 1", "plans 1120723 steps"),
+        ("solve --cells 8 --eps 1 --tmax 1e6 --dt 5", "plans 4.323037e+07 steps"),
+        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 1e6", "over the budget"),
+        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 2e6 --dt 1 --force-dt", "plans 2000000 steps"),
         # step options the mode never reads: the scan probes its own steps,
         # and only ap-limit shrinks its bound by c0
         (_SCAN + " --dt 5 --force-dt --safety 0.1 --c0 0.5", "does not read --dt"),
@@ -174,6 +187,10 @@ def _forbid_steps(monkeypatch):
         "converge-eps",
         "scan-budget",
         "converge-budget",
+        "solve-budget-auto",
+        "solve-budget-clamped",
+        "ap-limit-budget-auto",
+        "ap-limit-budget-forced",
         "scan-step-options",
         "scan-force-dt",
         "scan-safety",
@@ -391,28 +408,28 @@ def test_header_bytes_pinned(mode, tmp_path):
             assert fh.readline() == STATE_HEADER + "\n"
 
 
-# the whole CSV and checkpoint of a two-cell solve, every row included; the
-# rows end in csv's \r\n, the header lines in \n
+# the whole CSV and checkpoint of a two-cell solve, every row included; every
+# line ends in \n
 TINY_SOLVE = (
     "# mode=solve;model=telegraph;nv=2;degree=0;cells=2;eps=0.5;dt=None;flux=alt-lr;"
     "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
     "continuum_moments=False;dt_used=0.01;dt_override=0;growth_limit=10\n"
-    "n,t,energy,rho_norm,g_norm,mean_g_norm,mass,status\r\n"
-    "0,0,2.3856672960579304,1.5445605511141123,2.7829164246717666e-16,0,0,ok\r\n"
-    "1,0.01,2.3856672960579304,1.5445605511141123,0.037819145633007895,0,0,ok\r\n"
+    "n,t,energy,rho_norm,g_norm,mean_g_norm,mass,status\n"
+    "0,0,2.3856672960579304,1.5445605511141123,2.7829164246717666e-16,0,0,ok\n"
+    "1,0.01,2.3856672960579304,1.5445605511141123,0.037819145633007895,0,0,ok\n"
 )
 
 TINY_STATE = (
     "# n=1;t=0.01;eps=0.5;dt=0.01;degree=0;n_cells=2;x_min=0;x_max=6.2831853071795862;"
     "flux=alt-lr;model=discrete-two-point;nv=2;include_bh=1;continuum_moments=0;"
     "g_norm_lag=2.7829164246717666e-16\n"
-    "field,node,cell,x_left,mode,coefficient\r\n"
-    "rho,-1,0,0,0,0.61619050847955759\r\n"
-    "rho,-1,1,3.1415926535897931,0,-0.61619050847955759\r\n"
-    "g,0,0,0,0,-0.015087656201666055\r\n"
-    "g,0,1,3.1415926535897931,0,0.015087656201666055\r\n"
-    "g,1,0,0,0,0.015087656201666055\r\n"
-    "g,1,1,3.1415926535897931,0,-0.015087656201666055\r\n"
+    "field,node,cell,x_left,mode,coefficient\n"
+    "rho,-1,0,0,0,0.61619050847955759\n"
+    "rho,-1,1,3.1415926535897931,0,-0.61619050847955759\n"
+    "g,0,0,0,0,-0.015087656201666055\n"
+    "g,0,1,3.1415926535897931,0,0.015087656201666055\n"
+    "g,1,0,0,0,0.015087656201666055\n"
+    "g,1,1,3.1415926535897931,0,-0.015087656201666055\n"
 )
 
 
@@ -425,6 +442,38 @@ def test_whole_file_bytes_pinned(tmp_path):
         assert fh.read() == TINY_STATE
 
 
+@pytest.mark.parametrize(
+    "mode, suffix",
+    [(mode, "") for mode in HEADER_CASES] + [("solve", ".state.csv")],
+    ids=list(HEADER_CASES) + ["solve-checkpoint"],
+)
+def test_every_output_line_ends_in_one_newline(mode, suffix, tmp_path):
+    # one line ending and one cell count per table, in every file a mode writes
+    out = str(tmp_path / "out.csv")
+    assert main(HEADER_CASES[mode][0].split() + ["--out", out]) == 0
+    with open(out + suffix, "rb") as fh:
+        text = fh.read()
+    assert b"\r" not in text and text.endswith(b"\n")
+    header, columns, *rows = text[:-1].split(b"\n")
+    assert header.startswith(b"# ") and rows
+    assert all(row.count(b",") == columns.count(b",") for row in rows)
+
+
+def test_checkpoint_with_crlf_rows_still_loads(tmp_path):
+    # checkpoints written before every line ended in \n end their rows in \r\n
+    first, rest = TINY_STATE.split("\n", 1)
+    paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    paths[0].write_bytes(TINY_STATE.encode())
+    paths[1].write_bytes((first + "\n" + rest.replace("\n", "\r\n")).encode())
+    (new, new_config), (old, old_config) = map(load_state, paths)
+    assert (old.n, old.t, old.g_norm_lag) == (new.n, new.t, new.g_norm_lag)
+    assert (old.n, old.t, old.g_norm_lag) == (1, 0.01, 2.7829164246717666e-16)
+    assert np.array_equal(old.rho.coeff, new.rho.coeff)
+    assert np.array_equal(old.g.coeff, new.g.coeff)
+    assert old.rho.coeff[:, 0].tolist() == [0.61619050847955759, -0.61619050847955759]
+    assert (old_config.eps, old_config.dt, old_config.mesh) == (0.5, 0.01, new_config.mesh)
+
+
 # the whole CSV of two small ap-limit runs, every row included: each row
 # steps scheme.step at k >= 1, so a reordered sum in the weak form, the
 # velocity fold or the mass inversion moves these bytes
@@ -434,10 +483,10 @@ AP_LIMIT_FILES = {
         "# mode=ap-limit;model=slab;nv=4;degree=2;cells=6;eps=0.01,1e-08,0;dt=None;"
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False;dt_used=0.002;dt_override=0\n"
-        "eps,steps,rho_distance,q_distance\r\n"
-        "0.01,5,6.4864418971180091e-05,0.00057774291100373665\r\n"
-        "1e-08,5,5.4531032299026405e-11,6.7116813717838959e-10\r\n"
-        "0,5,2.1485240331677702e-19,1.8368415966654477e-17\r\n",
+        "eps,steps,rho_distance,q_distance\n"
+        "0.01,5,6.4864418971180091e-05,0.00057774291100373665\n"
+        "1e-08,5,5.4531032299026405e-11,6.7116813717838959e-10\n"
+        "0,5,2.1485240331677702e-19,1.8368415966654477e-17\n",
     ),
     "telegraph-central-k1": (
         "ap-limit --k 1 --flux central --cells 8 --eps 1e-1,1e-6,0 --tmax 0.01",
@@ -445,10 +494,10 @@ AP_LIMIT_FILES = {
         "eps=0.10000000000000001,9.9999999999999995e-07,0;dt=None;flux=central;"
         "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
         "continuum_moments=False;dt_used=0.0033333333333333335;dt_override=0\n"
-        "eps,steps,rho_distance,q_distance\r\n"
-        "0.10000000000000001,3,0.004585318079115829,0.18002207563197226\r\n"
-        "9.9999999999999995e-07,3,2.543076080918378e-08,2.4805044808796005e-06\r\n"
-        "0,3,0,0\r\n",
+        "eps,steps,rho_distance,q_distance\n"
+        "0.10000000000000001,3,0.004585318079115829,0.18002207563197226\n"
+        "9.9999999999999995e-07,3,2.543076080918378e-08,2.4805044808796005e-06\n"
+        "0,3,0,0\n",
     ),
 }
 
@@ -465,38 +514,38 @@ CONVERGE_FILES = {
         "# mode=converge;model=slab;nv=4;degree=2;cells=4,8,16;eps=0.10000000000000001;"
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=bump;"
         "out={out};force_dt=False;continuum_moments=False\n"
-        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
         "0.10000000000000001,4,0.0050000000000000001,0.10916297658170974,nan,"
-        "0.05522141873795175,nan,\r\n"
+        "0.05522141873795175,nan,\n"
         "0.10000000000000001,8,0.0011111111111111111,0.052184178340255613,"
-        "1.0647992694989283,0.028726862589952881,0.9428275165961858,\r\n"
+        "1.0647992694989283,0.028726862589952881,0.9428275165961858,\n"
         "0.10000000000000001,16,0.00015151515151515152,0.012452552754885913,"
-        "2.0671709411154242,0.0053588256005918542,2.4224116668692739,\r\n",
+        "2.0671709411154242,0.0053588256005918542,2.4224116668692739,\n",
     ),
     "telegraph-heat-limit": (
         "converge --k 1 --cells 4,8,16 --eps 1e-8 --tmax 0.01",
         "# mode=converge;model=telegraph;nv=2;degree=1;cells=4,8,16;eps=1e-08;dt=None;"
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False\n"
-        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
-        "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672054e-09,nan,\r\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
+        "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672054e-09,nan,\n"
         "1e-08,8,0.0033333333333333335,0.04380836398382771,1.8312258886677928,"
-        "2.4633256906658668e-09,1.3484802154875151,\r\n"
+        "2.4633256906658668e-09,1.3484802154875151,\n"
         "1e-08,16,0.00090909090909090909,0.015528356652291447,1.49630117937169,"
-        "2.2832119689486002e-10,3.4314706796907459,\r\n",
+        "2.2832119689486002e-10,3.4314706796907459,\n",
     ),
     "telegraph-ill-prepared": (
         ONE_CPU_ARGV,
         "# mode=converge;model=telegraph;nv=2;degree=2;cells=8,16,32;eps=0.10000000000000001;"
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;"
         "ic=ill-prepared;out={out};force_dt=False;continuum_moments=False\n"
-        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\r\n"
+        "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
         "0.10000000000000001,8,0.0022727272727272731,0.0052819334700691329,nan,"
-        "0.0012576619505560494,nan,\r\n"
+        "0.0012576619505560494,nan,\n"
         "0.10000000000000001,16,0.00029585798816568048,0.00070274137504522697,"
-        "2.9100003825888359,0.00014344425574132645,3.1321820881536175,\r\n"
+        "2.9100003825888359,0.00014344425574132645,3.1321820881536175,\n"
         "0.10000000000000001,32,3.7174721189591079e-05,8.5644157361709718e-05,"
-        "3.036567107860805,1.6846827109757276e-05,3.0899413877583788,\r\n",
+        "3.036567107860805,1.6846827109757276e-05,3.0899413877583788,\n",
     ),
 }
 
@@ -569,9 +618,9 @@ SCAN_FILE = (
     "# mode=stability-scan;model=slab;nv=4;degree=1;cells=16;eps=0.01,1;dt=None;flux=alt-lr;"
     "include_bh=True;" + _SPEC_TAIL + "tmax=0.10000000000000001;ic=sin;out={out};"
     "force_dt=False;continuum_moments=False;growth_limit=10\n"
-    "eps,n_cells,dt_stab,dt_empirical,ratio,flag\r\n"
-    "0.01,16,0.0020347139848343313,0.025179585562324851,12.375,\r\n"
-    "1,16,0.01195569629521521,0.13450158332117113,11.250000000000002,\r\n"
+    "eps,n_cells,dt_stab,dt_empirical,ratio,flag\n"
+    "0.01,16,0.0020347139848343313,0.025179585562324851,12.375,\n"
+    "1,16,0.01195569629521521,0.13450158332117113,11.250000000000002,\n"
 )
 
 
@@ -597,3 +646,47 @@ def test_ap_limit_file_bytes_pinned(case, tmp_path):
     assert main(argv.split() + ["--out", out]) == 0
     with open(out, newline="") as fh:
         assert fh.read() == expected.format(out=out)
+
+
+
+_ODD_FLOATS = ["5e-324", "1e-300", "1e300", "1.7976931348623157e308", "nan", "inf", "-inf"]
+
+
+@st.composite
+def _argvs(draw):
+    """A CLI argv of any mode and model.  Each option takes a usual value or,
+    one time in three, an odd one: tiny, huge, NaN and infinite floats,
+    --nv from -2 to 6 and cell lists from -4 to 16.  The usual values are
+    the default or moderate ones, at most 0.01."""
+    mode = draw(st.sampled_from(list(MODES)))
+    model, k = draw(st.sampled_from(list(MODELS))), draw(st.integers(0, 4))
+    argv = [mode, f"--model={model}", f"--k={k}"]
+
+    def option(name, usual, odd=st.sampled_from(_ODD_FLOATS)):
+        value = draw(odd if draw(st.integers(0, 2)) == 0 else st.sampled_from(usual))
+        if value is not None:
+            argv.append(f"--{name}={value}")
+
+    cell_lists = st.lists(st.integers(-4, 16), min_size=1, max_size=3)
+    option("cells", ["4,8,16" if mode == "converge" else "8"], cell_lists.map(
+        lambda cells: ",".join(map(str, cells))))
+    option("nv", [None], st.integers(-2, 6))
+    option("eps", ["0", "1e-3", "1e-2,0"], st.lists(st.sampled_from(_ODD_FLOATS + ["1e-2"]),
+                                                  min_size=1, max_size=2).map(",".join))
+    option("tmax", ["1e-3"])
+    scan = mode == "stability-scan"  # the scan takes no step option
+    option("dt", [None] if scan else [None, "1e-3", "1e-2"])
+    option("safety", [None] if scan else [None, "1e-2"])
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(argv=_argvs())
+def test_any_argv_runs_or_exits_with_an_error(argv):
+    # every argv runs (exit 0) or is refused with exit 2 and a message; none
+    # raises.  A usual run takes at most a few thousand steps; the budget
+    # refuses the huge tmax of solve and ap-limit, and converge powers its steps
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0 or (code == 2 and "mmdg: error:" in err.getvalue()), (argv, err.getvalue())

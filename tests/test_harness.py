@@ -97,33 +97,48 @@ def test_resolve_dt_policies():
     assert dt == 10.0 and overrode
 
 
-def test_step_budget_refuses_only_a_small_user_dt():
-    # the budget applies to a user dt below the bound, never to the step
-    # the policy picks itself, however many steps that plans
+def test_step_budget_holds_every_solve_and_ap_limit_plan(monkeypatch):
+    # solve and ap-limit take every step, so every plan is held to the budget,
+    # whatever its dt: the auto step, a clamped dt, a small dt or a forced
+    # one; each is refused before the first step
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    for name in ("StencilStepper", "step_limit"):
+        monkeypatch.setattr(harness, name, refuse)
+    monkeypatch.setattr(scheme, "step", refuse)
     spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1.0,))
+    config = build_config(spec, 16, 1.0, dt=1.0)
+    bound = 0.9 * scheme.stable_dt(config)  # ap-limit's bound, at eps = 0, is smaller
+    plans = [(None, False), (10 * bound, False), (bound / 2, False), (10 * bound, True)]
+    for mode, run_mode in (("solve", run_solve), ("ap-limit", run_ap_limit)):
+        for dt, force_dt in plans:
+            spec = ExperimentSpec(mode=mode, degree=0, cells=(16,), eps=(1.0,), dt=dt,
+                                  force_dt=force_dt, tmax=20 * MAX_STEPS * bound)
+            with pytest.raises(ValueError, match="over the budget 1000000"):
+                run_mode(spec)
+        # a subnormal dt overflows the planned count to inf and is refused too
+        spec.tmax, spec.dt = 1.0, 1e-310
+        with pytest.raises(ValueError, match="plans inf steps"):
+            run_mode(spec)
+
+
+def test_step_budget_holds_a_fine_first_converge_step():
+    # converge powers its steps: only a first step finer than the default
+    # policy's is held to the budget, and resolve_dt itself refuses none
+    spec = ExperimentSpec(mode="converge", degree=0, cells=(16, 32, 64), eps=(1.0,))
     config = build_config(spec, 16, 1.0, dt=1.0)
     bound = 0.9 * scheme.stable_dt(config)
     spec.tmax = 10 * MAX_STEPS * bound
-    dt, _ = resolve_dt(spec, config)
-    assert dt == bound
-    assert _steps_for(spec.tmax, dt, exact_dt=False)[0] > MAX_STEPS
-    spec.dt = 10 * bound  # clamped to the bound: the policy's plan again
     assert resolve_dt(spec, config) == (bound, False)
+    assert harness._convergence_levels(spec, 1.0, spec.cells)[0][0][1] > MAX_STEPS
     spec.dt = bound / 2
+    assert resolve_dt(spec, config) == (bound / 2, False)
     with pytest.raises(ValueError, match="over the budget 1000000"):
-        resolve_dt(spec, config)
-    # a subnormal dt overflows the planned count to inf and is refused too
-    spec.tmax, spec.dt = 1.0, 1e-310
-    with pytest.raises(ValueError, match="plans inf steps"):
-        resolve_dt(spec, config)
-    # the policy's step at a safety below the default one is held to the
-    # budget as a small user dt is; above the default it plans fewer steps
-    spec.dt, spec.tmax = None, 10 * MAX_STEPS * bound
-    spec.safety = 0.5
+        harness._convergence_levels(spec, 1.0, spec.cells)
+    spec.dt, spec.safety = None, 0.5  # the policy's step below the default safety
     with pytest.raises(ValueError, match="over the budget 1000000"):
-        resolve_dt(spec, config)
-    spec.safety = 0.95
-    assert resolve_dt(spec, config)[0] > bound
+        harness._convergence_levels(spec, 1.0, spec.cells)
 
 
 @pytest.mark.parametrize(
@@ -530,20 +545,22 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
 ):
     # sin holds one frequency, which the cut keeps alone at dt <= dt_stab;
     # noise holds all of them, and above dt_stab nothing is cut
-    calls = []
-    apply = StencilStepper.apply
+    calls = {"apply": 0, "symbol": 0}
+    for name in calls:
 
-    def counted(self, packed):
-        calls.append(None)
-        return apply(self, packed)
+        def counted(self, *args, _method=getattr(StencilStepper, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
 
-    monkeypatch.setattr(StencilStepper, "apply", counted)
+        monkeypatch.setattr(StencilStepper, name, counted)
     spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=1, cells=(32,), eps=(1e-2,))
     config = build_config(spec, 32, 1e-2, dt=1.0)
     config = scheme.with_dt(config, factor * scheme.stable_dt(config))
     state = unpack_state(_probe_packed(config, data), config)
     energies, _ = energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
-    assert len(calls) == (len(energies) - 1 if steps_apply else 0)
+    # the symbol is built only for the march that steps the live spectrum
+    assert calls == ({"apply": len(energies) - 1, "symbol": 0} if steps_apply
+                     else {"apply": 0, "symbol": 1})
 
 
 @settings(max_examples=40, deadline=None, database=None)
