@@ -123,7 +123,8 @@ def main(argv=None):
         print(f"mmdg: error: {exc}", file=sys.stderr)
         return 2
     if result.diverged:
-        print(f"instability flagged at step {result.diverge_step}", file=sys.stderr)
+        at = "" if result.diverge_step is None else f" at step {result.diverge_step}"
+        print(f"instability flagged{at}", file=sys.stderr)
     if spec.out:
         print(spec.out)
     return 0

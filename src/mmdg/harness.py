@@ -171,13 +171,20 @@ def resolve_dt(spec, config, margin=1.0):
     return spec.dt, spec.dt > bound
 
 
+def _plan_error(tmax, dt, detail=""):
+    """The refusal of a plan to step to tmax by dt: tmax is too large where
+    tmax / dt overflows at a normal dt, and dt is too small otherwise."""
+    if dt >= sys.float_info.min and tmax / dt == math.inf:
+        return ValueError(f"tmax={tmax:.6g} is too large for dt={dt:.6g}: tmax / dt overflows")
+    return ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}{detail}")
+
+
 def _check_budget(tmax, dt):
     """Refuse a dt that plans more than MAX_STEPS steps to tmax."""
     planned = tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
     if not planned <= MAX_STEPS:
-        raise ValueError(
-            f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}: "
-            f"it plans {planned:.7g} steps, over the budget {MAX_STEPS}"
+        raise _plan_error(
+            tmax, dt, f": it plans {planned:.7g} steps, over the budget {MAX_STEPS}"
         )
 
 
@@ -192,7 +199,7 @@ def _steps_for(tmax, dt, exact_dt):
         dt = dt if exact_dt else tmax / n
         if dt >= sys.float_info.min:
             return n, dt
-    raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}")
+    raise _plan_error(tmax, dt)
 
 
 MIN_PROBE_STEPS = 50
@@ -214,7 +221,7 @@ def _initial_state(spec, config):
     """The spec's initial data projected on config; refuses an E_0 that overflows."""
     ic = IC_REGISTRY[spec.ic]
     state = scheme.init_state(ic.rho0, ic.g0, config)
-    if not math.isfinite(scheme.energy(state, config)):
+    if not math.isfinite(scheme.energy(state.rho, state.g, config)):
         raise ValueError(f"eps={config.eps:.6g} is too large: the energy E_0 overflows")
     return state
 
@@ -282,7 +289,7 @@ def run_solve(spec):
             )
     if not ok:
         rows[-1]["status"] = "diverged"
-    state = unpack_state(live.packed(spectra[-1]), config, n, n * dt, math.sqrt(lag_sq[-1]))
+    state = unpack_state(live.packed(spectra[-1]), config, n, n * dt)
 
     result = RunResult(
         spec=spec,
@@ -294,7 +301,7 @@ def run_solve(spec):
     )
     result.write()
     if spec.out:
-        scheme.save_state(state, config, spec.out + ".state.csv")
+        scheme.save_state(state, config, spec.out + ".state.csv", math.sqrt(lag_sq[-1]))
     return result
 
 
@@ -468,6 +475,8 @@ def run_ap_limit(spec):
     The kinetic runs advance as one stack, one scheme.step per step, each run
     with the operations it takes alone: at eps = 0 telegraph matches the limit
     bit for bit, slab at roundoff (its <v g> sums w_q v_q^2 where the limit has m2).
+    A non-finite distance, from a forced step beyond the stable one, flags the
+    run as diverged.
     """
     spec.validate()
     if len(spec.cells) != 1:
@@ -481,30 +490,33 @@ def run_ap_limit(spec):
     space, mesh, degree = config.space, config.mesh, config.degree
     m2 = space.moments().m2
     lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), mesh, degree)
-    for _ in range(n_steps):
-        lim = step_limit(lim, dt, spec.flux, m2)
     state0 = scheme.init_state(ic.rho0, ic.g0, config0)  # eps-free: one copy per run
     runs = len(spec.eps)
     state = scheme.State(
         rho=DGField(mesh, degree, np.repeat(state0.rho.coeff[None], runs, axis=0)),
         g=KineticField(space, mesh, degree, np.repeat(state0.g.coeff[None], runs, axis=0)),
     )
-    for _ in range(n_steps):
-        state = scheme.step(state, config)
     rows = []
-    for i, eps in enumerate(spec.eps):
-        rho = DGField(mesh, degree, state.rho.coeff[i])
-        g = KineticField(space, mesh, degree, state.g.coeff[i])
-        rows.append(
-            {
-                "eps": eps,
-                "steps": n_steps,
-                "rho_distance": (rho - lim.rho).norm(),
-                "q_distance": (g.bracket_v() - lim.q).norm(),
-            }
-        )
+    # a forced unstable step overflows; its distances come out non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            lim = step_limit(lim, dt, spec.flux, m2)
+            state = scheme.step(state, config)
+        for i, eps in enumerate(spec.eps):
+            rho = DGField(mesh, degree, state.rho.coeff[i])
+            g = KineticField(space, mesh, degree, state.g.coeff[i])
+            rows.append(
+                {
+                    "eps": eps,
+                    "steps": n_steps,
+                    "rho_distance": (rho - lim.rho).norm(),
+                    "q_distance": (g.bracket_v() - lim.q).norm(),
+                }
+            )
+    diverged = not all(math.isfinite(row[key]) for row in rows
+                       for key in ("rho_distance", "q_distance"))
     header = {"dt_used": dt, "dt_override": int(overrode)}
-    result = RunResult(spec=spec, rows=rows, header=header)
+    result = RunResult(spec=spec, rows=rows, diverged=diverged, header=header)
     result.write()
     return result
 

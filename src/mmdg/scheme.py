@@ -74,20 +74,19 @@ class SchemeConfig:
 
 @dataclass
 class State:
-    """Solution pair at step n, plus the lagged g-norm the energy uses."""
+    """Solution pair at step n and time t."""
 
     rho: DGField
     g: KineticField
     n: int = 0
     t: float = 0.0
-    g_norm_lag: float = 0.0
 
 
 def init_state(rho0, g0, config):
     """L2-project the initial data; g0 is a callable of (x, v)."""
     rho = project(rho0, config.mesh, config.degree)
     g = project_kinetic(g0, config.mesh, config.degree, config.space)
-    return State(rho=rho, g=g, n=0, t=0.0, g_norm_lag=g.triple_norm())
+    return State(rho=rho, g=g)
 
 
 def step(state, config):
@@ -106,13 +105,7 @@ def step(state, config):
         np.subtract(new_coeff, fluct, out=new_coeff, where=positive)
     new_coeff /= c1 + 1.0
     g_new = KineticField(config.space, config.mesh, config.degree, new_coeff)
-    return State(
-        rho=rho_new,
-        g=g_new,
-        n=state.n + 1,
-        t=state.t + dt,
-        g_norm_lag=state.g.triple_norm(),
-    )
+    return State(rho=rho_new, g=g_new, n=state.n + 1, t=state.t + dt)
 
 
 def _single_eps(config):
@@ -160,9 +153,9 @@ def stable_dt(config):
     return 2.0 * h / (a2 * a3) * (h + a3 * eps)
 
 
-def energy(state, config):
-    """Discrete energy ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 (shifted pairing)."""
-    return state.rho.norm() ** 2 + _single_eps(config) ** 2 * state.g_norm_lag**2
+def energy(rho, g_lag, config):
+    """Discrete energy ||rho^n||^2 + eps^2 |||g^{n-1}|||^2; g_lag is g^{n-1}, g^0 at n = 0."""
+    return rho.norm() ** 2 + _single_eps(config) ** 2 * g_lag.triple_norm() ** 2
 
 
 def _format_of(kind):
@@ -199,14 +192,14 @@ def write_table(path, header, columns, rows):
         fh.write("".join(lines))
 
 
-def save_state(state, config, path):
-    """Checkpoint: header with run metadata, then one row per coefficient."""
+def save_state(state, config, path, g_norm_lag):
+    """Checkpoint: header with run metadata and |||g^{n-1}|||, then one row per coefficient."""
     mesh, space = config.mesh, config.space
     meta = dict(
         n=state.n, t=state.t, eps=_single_eps(config), dt=config.dt, degree=config.degree,
         n_cells=mesh.n_cells, x_min=mesh.x_min, x_max=mesh.x_max, flux=config.flux,
         model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
-        continuum_moments=int(config.continuum_moments), g_norm_lag=state.g_norm_lag,
+        continuum_moments=int(config.continuum_moments), g_norm_lag=g_norm_lag,
     )
     edges = mesh.edges()
     parts = [("rho", -1, state.rho.coeff)] + [("g", q, c) for q, c in enumerate(state.g.coeff)]
@@ -220,7 +213,7 @@ def save_state(state, config, path):
 
 
 def load_state(path):
-    """Rebuild (state, config) from a checkpoint file."""
+    """Rebuild (state, config, g_norm_lag) from a checkpoint file."""
     with open(path, newline="") as fh:
         header = fh.readline().strip().lstrip("# ")
         meta = dict(item.split("=", 1) for item in header.split(";"))
@@ -249,14 +242,8 @@ def load_state(path):
                 rho.coeff[int(i), int(j)] = float(val)
             else:
                 g.coeff[int(q), int(i), int(j)] = float(val)
-    state = State(
-        rho=rho,
-        g=g,
-        n=int(meta["n"]),
-        t=float(meta["t"]),
-        g_norm_lag=float(meta["g_norm_lag"]),
-    )
-    return state, config
+    state = State(rho=rho, g=g, n=int(meta["n"]), t=float(meta["t"]))
+    return state, config, float(meta["g_norm_lag"])
 
 
 def with_dt(config, dt):

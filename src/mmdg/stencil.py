@@ -1,8 +1,8 @@
 """The compiled one-step map on the packed layout, one (n_cells, (1 + nv)(k + 1))
 array per state: per cell, the k + 1 modes of rho, then those of g at each velocity
-node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps
-marches with it; LiveSpectrum marches its Fourier symbol on the frequencies a
-state holds, for solve and for energy_history wherever the cut drops one."""
+node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps is one
+propagate; LiveSpectrum marches its Fourier symbol on the frequencies a state holds,
+for solve and for energy_history wherever the cut drops one."""
 
 import math
 from dataclasses import replace
@@ -24,7 +24,7 @@ def pack_state(state):
     return np.concatenate([state.rho.coeff, flat_g], axis=1)
 
 
-def unpack_state(packed, config, n=0, t=0.0, g_norm_lag=0.0):
+def unpack_state(packed, config, n=0, t=0.0):
     """Inverse of pack_state on the config's mesh."""
     k1 = config.degree + 1
     rho = DGField(config.mesh, config.degree, packed[:, :k1].copy())
@@ -32,7 +32,7 @@ def unpack_state(packed, config, n=0, t=0.0, g_norm_lag=0.0):
     g = KineticField(
         config.space, config.mesh, config.degree, np.ascontiguousarray(np.swapaxes(g_part, 0, 1))
     )
-    return scheme.State(rho=rho, g=g, n=n, t=t, g_norm_lag=g_norm_lag)
+    return scheme.State(rho=rho, g=g, n=n, t=t)
 
 
 class StencilStepper:
@@ -213,15 +213,8 @@ def run_fixed_steps(config, state, n_steps):
     """
     if n_steps == 0:
         return state
-    stepper = StencilStepper(config)
-    prev = stepper.propagate(pack_state(state), n_steps - 1)
-    return unpack_state(
-        stepper.apply(prev),
-        config,
-        n=state.n + n_steps,
-        t=state.t + n_steps * config.dt,
-        g_norm_lag=math.sqrt(stepper.g_norm_sq(prev)),
-    )
+    packed = StencilStepper(config).propagate(pack_state(state), n_steps)
+    return unpack_state(packed, config, state.n + n_steps, state.t + n_steps * config.dt)
 
 
 CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes

@@ -25,10 +25,11 @@ _install_counters(harness, {})
 """
 
 
-def test_bench_hooks_install():
+def _run_with_bench(code, *args):
+    """Run code in a fresh interpreter that imports mmdg and bench/; return its stdout."""
     path = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "bench"))
     proc = subprocess.run(
-        [sys.executable, "-c", INSTALL_HOOKS],
+        [sys.executable, "-c", code, *map(str, args)],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -36,6 +37,11 @@ def test_bench_hooks_install():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bench_hooks_install():
+    _run_with_bench(INSTALL_HOOKS)
 
 
 TRACE_DRIVERS = """
@@ -70,17 +76,7 @@ TRACED_HARNESS_LAYERS = (
 def test_tracer_sees_every_harness_layer(tmp_path):
     # bench/tracer.py wraps these where the drivers look them up; a driver
     # that reached one another way would leave its span count at zero
-    path = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "bench"))
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACE_DRIVERS, str(tmp_path)],
-        cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.splitlines()[-1])
+    calls = json.loads(_run_with_bench(TRACE_DRIVERS, tmp_path).splitlines()[-1])
     missing = [name for name in TRACED_HARNESS_LAYERS if not calls.get(f"harness.{name}")]
     assert not missing, calls
     # converge at eps 0.5 measures against its reference run
@@ -105,3 +101,22 @@ def test_bench_counters_count_driver_work(monkeypatch):
     runs = levels + [reference]
     assert counts["cell_steps_advanced"] == sum(c.mesh.n_cells * n for c, n in runs)
     assert counts["cell_steps_probed"] > 0
+
+
+TRACE_CHECKPOINT = """
+import json, os, sys
+from mmdg.cli import main
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+out = os.path.join(sys.argv[1], "solve.csv")
+assert main(f"solve --k 0 --cells 8 --eps 1 --tmax 0.01 --out {out}".split()) == 0
+print(json.dumps([tracer.counts["scheme.save_state.bytes"], os.path.getsize(out + ".state.csv")]))
+"""
+
+
+def test_tracer_reads_the_checkpoint_path(tmp_path):
+    # bench/tracer.py sizes the file at scheme.save_state's positional argument 2
+    traced, size = json.loads(_run_with_bench(TRACE_CHECKPOINT, tmp_path).splitlines()[-1])
+    assert traced == size > 0

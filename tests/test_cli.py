@@ -134,6 +134,19 @@ def test_overflowing_eps_exits_cleanly(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mode, cells",
+    [("solve", "16"), ("converge", "4,8,16"), ("ap-limit", "16"), ("stability-scan", "16")],
+)
+def test_overflowing_plan_blames_tmax(mode, cells, capsys):
+    # tmax / dt overflows at a normal dt: tmax is too large, the step is not too small
+    argv = [mode, "--k", "1", "--cells", cells, "--eps", "1e-2", "--tmax", "1.7976931348623157e308"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mmdg: error: tmax=1.79769e+308 is too large for dt=")
+    assert "too small" not in err and "Traceback" not in err
+
+
 _SCAN = "stability-scan --k 0 --cells 8 --eps 1 --tmax 0.1"
 
 
@@ -304,6 +317,20 @@ def _converge_rows(tmp_path, extra):
         return fh.read().splitlines()[2:]
 
 
+def test_unstable_ap_limit_flags_its_nan_rows(tmp_path, capsys):
+    # a forced step far beyond the stable one overflows both runs to nan; the
+    # rows say so and the run is flagged, with no step to name, and exits 0
+    # as solve's flagged demos do
+    out = str(tmp_path / "ap.csv")
+    argv = "ap-limit --k 0 --cells 8 --eps 1,0 --tmax 2000 --dt 1 --force-dt".split()
+    assert main(argv + ["--out", out]) == 0
+    assert capsys.readouterr().err == "instability flagged\n"
+    with open(out) as fh:
+        assert fh.read().splitlines()[2:] == ["1,2000,nan,nan", "0,2000,nan,nan"]
+    assert main(argv[:-3] + ["--tmax", "1"]) == 0  # at the stable step: no flag
+    assert capsys.readouterr().err == ""
+
+
 def test_converge_forced_dt(tmp_path):
     # a forced step runs unclamped on the first level, 10 steps to tmax, and
     # the finer levels scale it by h^2; unforced, it is clamped to the bound
@@ -465,9 +492,9 @@ def test_checkpoint_with_crlf_rows_still_loads(tmp_path):
     paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     paths[0].write_bytes(TINY_STATE.encode())
     paths[1].write_bytes((first + "\n" + rest.replace("\n", "\r\n")).encode())
-    (new, new_config), (old, old_config) = map(load_state, paths)
-    assert (old.n, old.t, old.g_norm_lag) == (new.n, new.t, new.g_norm_lag)
-    assert (old.n, old.t, old.g_norm_lag) == (1, 0.01, 2.7829164246717666e-16)
+    (new, new_config, new_lag), (old, old_config, old_lag) = map(load_state, paths)
+    assert (old.n, old.t, old_lag) == (new.n, new.t, new_lag)
+    assert (old.n, old.t, old_lag) == (1, 0.01, 2.7829164246717666e-16)
     assert np.array_equal(old.rho.coeff, new.rho.coeff)
     assert np.array_equal(old.g.coeff, new.g.coeff)
     assert old.rho.coeff[:, 0].tolist() == [0.61619050847955759, -0.61619050847955759]
@@ -515,12 +542,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=bump;"
         "out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,4,0.0050000000000000001,0.10916297658170974,nan,"
-        "0.05522141873795175,nan,\n"
+        "0.10000000000000001,4,0.0050000000000000001,0.10916297658170986,nan,"
+        "0.055221418737951757,nan,\n"
         "0.10000000000000001,8,0.0011111111111111111,0.052184178340255613,"
-        "1.0647992694989283,0.028726862589952881,0.9428275165961858,\n"
-        "0.10000000000000001,16,0.00015151515151515152,0.012452552754885913,"
-        "2.0671709411154242,0.0053588256005918542,2.4224116668692739,\n",
+        "1.0647992694989297,0.028726862589952884,0.9428275165961858,\n"
+        "0.10000000000000001,16,0.00015151515151515152,0.012452552754885863,"
+        "2.06717094111543,0.0053588256005918516,2.4224116668692748,\n",
     ),
     "telegraph-heat-limit": (
         "converge --k 1 --cells 4,8,16 --eps 1e-8 --tmax 0.01",
@@ -528,11 +555,11 @@ CONVERGE_FILES = {
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672054e-09,nan,\n"
-        "1e-08,8,0.0033333333333333335,0.04380836398382771,1.8312258886677928,"
-        "2.4633256906658668e-09,1.3484802154875151,\n"
-        "1e-08,16,0.00090909090909090909,0.015528356652291447,1.49630117937169,"
-        "2.2832119689486002e-10,3.4314706796907459,\n",
+        "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672087e-09,nan,\n"
+        "1e-08,8,0.0033333333333333335,0.043808363983827758,1.831225888667791,"
+        "2.4633256906658709e-09,1.3484802154875133,\n"
+        "1e-08,16,0.00090909090909090909,0.015528356652291448,1.4963011793716914,"
+        "2.2832119689486258e-10,3.4314706796907322,\n",
     ),
     "telegraph-ill-prepared": (
         ONE_CPU_ARGV,
@@ -540,12 +567,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;"
         "ic=ill-prepared;out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,8,0.0022727272727272731,0.0052819334700691329,nan,"
-        "0.0012576619505560494,nan,\n"
-        "0.10000000000000001,16,0.00029585798816568048,0.00070274137504522697,"
-        "2.9100003825888359,0.00014344425574132645,3.1321820881536175,\n"
-        "0.10000000000000001,32,3.7174721189591079e-05,8.5644157361709718e-05,"
-        "3.036567107860805,1.6846827109757276e-05,3.0899413877583788,\n",
+        "0.10000000000000001,8,0.0022727272727272731,0.0052819334700698042,nan,"
+        "0.0012576619505560317,nan,\n"
+        "0.10000000000000001,16,0.00029585798816568048,0.00070274137504599296,"
+        "2.9100003825874463,0.000143444255741282,3.1321820881540439,\n"
+        "0.10000000000000001,32,3.7174721189591079e-05,8.5644157362022022e-05,"
+        "3.0365671078571168,1.6846827109739088e-05,3.089941387759489,\n",
     ),
 }
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmdg import harness, scheme, stencil
+from mmdg.fields import KineticField
 from mmdg.harness import (
     GROWTH_LIMIT,
     IC_REGISTRY,
@@ -164,7 +166,6 @@ def test_fixed_steps_match_reference(n_steps, n_cells):
     assert np.max(np.abs(ref.rho.coeff - fast.rho.coeff)) < 1e-11
     assert np.max(np.abs(ref.g.coeff - fast.g.coeff)) < 1e-11
     assert fast.n == n_steps
-    assert fast.g_norm_lag == pytest.approx(ref.g_norm_lag, abs=1e-11)
 
 
 def test_energy_history_matches_scheme_energy():
@@ -174,11 +175,11 @@ def test_energy_history_matches_scheme_energy():
     state = scheme.init_state(ic.rho0, ic.g0, config)
     energies, ok = energy_history(config, state, 10)
     assert ok and len(energies) == 11
-    ref = state
-    expected = [scheme.energy(ref, config)]
+    prev = ref = state
+    expected = [scheme.energy(ref.rho, ref.g, config)]
     for _ in range(10):
-        ref = scheme.step(ref, config)
-        expected.append(scheme.energy(ref, config))
+        prev, ref = ref, scheme.step(ref, config)
+        expected.append(scheme.energy(ref.rho, prev.g, config))
     assert np.allclose(energies, expected, rtol=1e-12)
 
 
@@ -199,7 +200,7 @@ def test_solve_constant_data_rows(tmp_path):
     assert "dt_used=" in text.splitlines()[0]
     assert text.splitlines()[1].split(",")[0] == "n"
     # the final state snapshot is importable and matches the run
-    loaded, _ = scheme.load_state(str(out) + ".state.csv")
+    loaded, _, _ = scheme.load_state(str(out) + ".state.csv")
     assert np.array_equal(loaded.rho.coeff, result.final_state.rho.coeff)
     assert loaded.n == result.rows[-1]["n"]
 
@@ -218,13 +219,13 @@ def test_solve_well_prepared_monitors():
 def _reference_solve(spec, config, n_steps):
     # literal scheme.step march with solve's monitors and divergence test
     ic = IC_REGISTRY[spec.ic]
-    state = scheme.init_state(ic.rho0, ic.g0, config)
-    e0 = scheme.energy(state, config)
+    prev = state = scheme.init_state(ic.rho0, ic.g0, config)
+    e0 = scheme.energy(state.rho, state.g, config)
     rows = []
     for n in range(n_steps + 1):
         if n:
-            state = scheme.step(state, config)
-        en = scheme.energy(state, config)
+            prev, state = state, scheme.step(state, config)
+        en = scheme.energy(state.rho, prev.g, config)
         rows.append(
             {
                 "energy": en,
@@ -284,7 +285,6 @@ def _assert_solve_matches_reference(spec):
     final = result.final_state
     assert np.max(np.abs(final.rho.coeff - ref_state.rho.coeff)) < 1e-11
     assert np.max(np.abs(final.g.coeff - ref_state.g.coeff)) < 1e-11
-    assert final.g_norm_lag == pytest.approx(ref_state.g_norm_lag, abs=1e-11)
     assert not result.diverged and ref_diverge is None
 
 
@@ -383,7 +383,9 @@ def test_spectral_march_matches_the_stencil_march(model, k, n_cells, eps, ic):
             assert abs(row[key] - ref[key]) <= 1e-13 * norm_scale, key
     final = pack_state(result.final_state)
     assert np.max(np.abs(final - ref_packed)) <= 1e-13 * max(1.0, np.max(np.abs(ref_packed)))
-    assert abs(result.final_state.g_norm_lag - ref_lag) <= 1e-13 * norm_scale
+    # the lag solve checkpoints is its previous row's g_norm (row 0's at n = 0)
+    lag = result.rows[max(len(result.rows) - 2, 0)]["g_norm"]
+    assert abs(lag - ref_lag) <= 1e-13 * norm_scale
 
 
 def _solve_from(monkeypatch, spec, packed):
@@ -399,7 +401,7 @@ def test_solve_of_a_zero_state_keeps_every_row_zero(monkeypatch):
     result = _solve_from(monkeypatch, spec, np.zeros((8, 10)))
     assert not result.diverged and len(result.rows) > 2
     assert all(row[key] == 0.0 for row in result.rows for key in _MONITORS)
-    assert not pack_state(result.final_state).any() and result.final_state.g_norm_lag == 0.0
+    assert not pack_state(result.final_state).any()
 
 
 def test_solve_of_a_nan_state_diverges_at_once(monkeypatch):
@@ -902,9 +904,58 @@ def test_zero_fixed_steps_return_the_state():
     ic = IC_REGISTRY["sin"]
     state = scheme.step(scheme.init_state(ic.rho0, ic.g0, config), config)
     out = run_fixed_steps(config, state, 0)
-    assert (out.n, out.t, out.g_norm_lag) == (state.n, state.t, state.g_norm_lag)
+    assert (out.n, out.t) == (state.n, state.t)
     assert np.array_equal(out.rho.coeff, state.rho.coeff)
     assert np.array_equal(out.g.coeff, state.g.coeff)
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Counter of calls to owner's methods names, filled as they run."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fixed_steps_are_one_propagate(monkeypatch):
+    # every step sits in the power of the symbol: no real-space step and no
+    # packed norm rides along
+    spec = ExperimentSpec(mode="solve", model="slab", nv=6, degree=1, cells=(16,), eps=(0.3,))
+    config = build_config(spec, 16, 0.3, dt=2e-4)
+    ic = IC_REGISTRY["sin"]
+    state = scheme.init_state(ic.rho0, ic.g0, config)
+    calls = _count_calls(monkeypatch, StencilStepper,
+                         ("propagate", "apply", "rho_norm_sq", "g_norm_sq"))
+    for n_steps in (1, 7):
+        calls.clear()
+        run_fixed_steps(config, state, n_steps)
+        assert calls == {"propagate": 1}, n_steps
+
+
+def test_ap_limit_takes_no_kinetic_norm(monkeypatch):
+    # ap-limit forms no energy, so it takes no |||g|||
+    calls = _count_calls(monkeypatch, KineticField, ("triple_norm",))
+    spec = ExperimentSpec(mode="ap-limit", degree=1, cells=(16,), eps=(1e-2, 0.0), tmax=0.01)
+    assert len(run_ap_limit(spec).rows) == 2
+    assert calls["triple_norm"] == 0
+
+
+@pytest.mark.parametrize("states", [None, 10], ids=["one-chunk", "last-state-alone"])
+def test_solve_checkpoint_lag_is_the_previous_rows_g_norm(monkeypatch, tmp_path, states):
+    # ten steps to tmax; with ten states per chunk the last state opens a
+    # chunk of its own, so its lag comes from the chunk before
+    out = tmp_path / "solve.csv"
+    spec = ExperimentSpec(mode="solve", degree=1, cells=(16,), eps=(0.5,), dt=1e-3, tmax=0.01,
+                          ic="bump", out=str(out))
+    if states:
+        _chunk_states(monkeypatch, spec, states)
+    result = run_solve(spec)
+    assert len(result.rows) == 11
+    _, _, lag = scheme.load_state(str(out) + ".state.csv")
+    assert lag == result.rows[-2]["g_norm"]
 
 
 def test_solve_requires_single_case():

@@ -62,8 +62,8 @@ def test_single_run_functions_refuse_a_stack(tmp_path):
     state = _well_prepared(_config())
     for call in (
         lambda: stable_dt(config),
-        lambda: energy(state, config),
-        lambda: save_state(state, config, tmp_path / "state.csv"),
+        lambda: energy(state.rho, state.g, config),
+        lambda: save_state(state, config, tmp_path / "state.csv", 1.0),
     ):
         with pytest.raises(ValueError, match="a single eps, not a stack of 2 runs"):
             call()
@@ -94,7 +94,6 @@ def _assert_rows_match_single_runs(stacked, singles):
     for i, single in enumerate(singles):
         assert stacked.rho.coeff[i].tobytes() == single.rho.coeff.tobytes()
         assert stacked.g.coeff[i].tobytes() == single.g.coeff.tobytes()
-        assert stacked.g_norm_lag[i] == single.g_norm_lag
         assert (stacked.n, stacked.t) == (single.n, single.t)
 
 
@@ -179,7 +178,9 @@ def test_constant_state_is_fixed_point(flux):
     after = step(state, config)
     assert np.max(np.abs(after.rho.coeff - state.rho.coeff)) < 1e-15
     assert np.max(np.abs(after.g.coeff)) < 1e-15
-    assert energy(after, config) == pytest.approx(energy(state, config), rel=1e-14)
+    assert energy(after.rho, state.g, config) == pytest.approx(
+        energy(state.rho, state.g, config), rel=1e-14
+    )
 
 
 @pytest.mark.parametrize("space,tol", [(TELEGRAPH, 0.0), (SLAB, 1e-15)],
@@ -310,13 +311,12 @@ def test_energy_monotone_on_random_data(space, k, flux, eps):
         # admissible microscopic data carry no velocity mean; the scheme
         # preserves that property and the energy bound relies on it
         state.g.coeff -= space.bracket(state.g.coeff)[None]
-        state.g_norm_lag = state.g.triple_norm()
-        e0 = energy(state, config)
-        state = step(state, config)
-        prev_energy = energy(state, config)
+        e0 = energy(state.rho, state.g, config)
+        prev, state = state, step(state, config)
+        prev_energy = energy(state.rho, prev.g, config)
         for _ in range(120):
-            state = step(state, config)
-            e = energy(state, config)
+            prev, state = state, step(state, config)
+            e = energy(state.rho, prev.g, config)
             assert e <= prev_energy + 1e-12 * e0
             prev_energy = e
 
@@ -324,13 +324,12 @@ def test_energy_monotone_on_random_data(space, k, flux, eps):
 def test_energy_uses_lagged_g_norm():
     config = _config(eps=0.7)
     state = _well_prepared(config)
-    e0 = energy(state, config)
+    e0 = energy(state.rho, state.g, config)
     assert e0 == pytest.approx(
         state.rho.norm() ** 2 + 0.49 * state.g.triple_norm() ** 2, rel=1e-14
     )
     after = step(state, config)
-    assert after.g_norm_lag == pytest.approx(state.g.triple_norm(), rel=1e-14)
-    assert energy(after, config) == pytest.approx(
+    assert energy(after.rho, state.g, config) == pytest.approx(
         after.rho.norm() ** 2 + 0.49 * state.g.triple_norm() ** 2, rel=1e-14
     )
 
@@ -349,14 +348,14 @@ def test_checkpoint_roundtrip(tmp_path):
         space=SLAB, eps=0.05, dt=3e-4, k=2, flux=CENTRAL, n=8,
         include_bh=False, continuum_moments=True,
     )
-    state = _well_prepared(config)
-    state = step(step(state, config), config)
+    prev = step(_well_prepared(config), config)
+    state = step(prev, config)
     path = tmp_path / "state.csv"
-    save_state(state, config, path)
-    loaded, loaded_config = load_state(path)
+    save_state(state, config, path, prev.g.triple_norm())
+    loaded, loaded_config, loaded_lag = load_state(path)
     assert loaded.n == state.n
     assert loaded.t == state.t
-    assert loaded.g_norm_lag == state.g_norm_lag
+    assert loaded_lag == prev.g.triple_norm()
     assert np.array_equal(loaded.rho.coeff, state.rho.coeff)
     assert np.array_equal(loaded.g.coeff, state.g.coeff)
     for f in dataclasses.fields(SchemeConfig):
@@ -376,7 +375,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_truncated_file(tmp_path):
     config = _config(space=SLAB, k=1, n=8)
     path = tmp_path / "state.csv"
-    save_state(_well_prepared(config), config, path)
+    save_state(_well_prepared(config), config, path, 1.0)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-5]))
     with pytest.raises(ValueError, match="coefficient rows"):
@@ -439,10 +438,11 @@ def test_write_table_matches_the_cell_by_cell_writer(tmp_path, table):
 def test_checkpoint_bytes_match_the_cell_by_cell_writer(tmp_path, monkeypatch):
     # checkpoint rows mix str, int and numpy float cells
     config = _config(space=SLAB, eps=0.05, dt=3e-4, k=2, n=5)
-    state = step(_well_prepared(config), config)
-    save_state(state, config, tmp_path / "fast.csv")
+    prev = _well_prepared(config)
+    state, lag = step(prev, config), prev.g.triple_norm()
+    save_state(state, config, tmp_path / "fast.csv", lag)
     monkeypatch.setattr(scheme, "write_table", write_table_by_cell)
-    save_state(state, config, tmp_path / "oracle.csv")
+    save_state(state, config, tmp_path / "oracle.csv", lag)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
