@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scheme, velocity
 from .fields import DGField, KineticField, Mesh1D, l2_distance, l2_error
-from .limit import init_limit_state, step_limit
+from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
 from .stencil import LiveSpectrum, StencilStepper, energy_history, pack_state
@@ -36,24 +36,20 @@ DOMAIN = (0.0, 2.0 * np.pi)
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Registered initial data; q0 takes (x, m2) for the limit scheme."""
+    """Registered initial data: rho0 of x and g0 of (x, v).  The limit scheme
+    starts from the projected rho0 and the first moment <v g0> of the projected g0."""
 
     rho0: callable
     g0: callable
-    q0: callable
 
 
 def _well_prepared(rho0, drho0):
-    """Data on the limit's manifold: g0 = -v rho0' and the limit flux q0 = -m2 rho0'."""
-    return InitialCondition(rho0, lambda x, v: -v * drho0(x), lambda x, m2: -m2 * drho0(x))
+    """Data on the limit's manifold: g0 = -v rho0', so <v g0> = -m2 rho0'."""
+    return InitialCondition(rho0, lambda x, v: -v * drho0(x))
 
 
 def _ill_g(x, v):
     return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _ill_q(x, m2):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 _BUMP_WIDTH = 8.0
@@ -70,7 +66,7 @@ def _bump_drho(x):
 
 IC_REGISTRY = {
     "sin": _well_prepared(np.sin, np.cos),
-    "ill-prepared": InitialCondition(np.sin, _ill_g, _ill_q),
+    "ill-prepared": InitialCondition(np.sin, _ill_g),
     "bump": _well_prepared(_bump_rho, _bump_drho),
 }
 
@@ -289,7 +285,7 @@ def run_solve(spec):
             )
     if not ok:
         rows[-1]["status"] = "diverged"
-    state = unpack_state(live.packed(spectra[-1]), config, n, n * dt)
+    state = unpack_state(live.packed(spectra[-1]), config)
 
     result = RunResult(
         spec=spec,
@@ -301,7 +297,7 @@ def run_solve(spec):
     )
     result.write()
     if spec.out:
-        scheme.save_state(state, config, spec.out + ".state.csv", math.sqrt(lag_sq[-1]))
+        scheme.save_state(state, config, spec.out + ".state.csv", n, math.sqrt(lag_sq[-1]))
     return result
 
 
@@ -314,11 +310,11 @@ def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
     The first level's dt is resolve_dt's, held to the MAX_STEPS budget where
-    it is finer than the default policy's step; each finer level's is
-    proportional to h^(k+1), capped by safety * dt_stab.  Every level, a
-    forced one too, shrinks its step to land on tmax, where the errors are
-    measured.  The reference is None where the exact limit solution serves
-    instead.
+    it is finer than the default policy's step.  Every level, a forced one
+    too, shrinks its step to land on tmax, where the errors are measured;
+    each finer level's is the first level's landed step scaled by h^(k+1),
+    capped by safety * dt_stab.  The reference is None where the exact limit
+    solution serves instead.
     """
     levels = []
     for n in cells:
@@ -328,10 +324,11 @@ def _convergence_levels(spec, eps, cells):
             dt, _ = resolve_dt(spec, config)
             if dt < ExperimentSpec.safety * scheme.stable_dt(config):
                 _check_budget(spec.tmax, dt)  # a step finer than the default policy's
-            anchor = dt / h_power
         else:
             dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
         n_steps, dt = _steps_for(spec.tmax, dt, exact_dt=False)
+        if not levels:
+            anchor = dt / h_power
         levels.append((scheme.with_dt(config, dt), n_steps))
     if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
         return levels, None
@@ -468,8 +465,10 @@ def run_stability_scan(spec):
 def run_ap_limit(spec):
     """Run kinetic and limit schemes side by side, one row per eps.
 
-    All runs share (N, degree, dt, flux) and well-prepared data; distances
-    are coefficient-space L2 norms on the shared mesh.  The step follows
+    All runs share (N, degree, dt, flux) and the spec's initial data, well-
+    or ill-prepared: the limit run starts from the kinetic runs' projected
+    rho0 and the first moment <v g0> of their projected g0.  Distances are
+    coefficient-space L2 norms on the shared mesh.  The step follows
     solve's dt policy, landing on tmax, with the zero-eps stable step shrunk
     by the margin c0, the strict-inequality gap the limit analysis asks for.
     The kinetic runs advance as one stack, one scheme.step per step, each run
@@ -489,8 +488,8 @@ def run_ap_limit(spec):
     config = replace(config0, eps=np.array(spec.eps, dtype=float), dt=dt)  # checks every eps
     space, mesh, degree = config.space, config.mesh, config.degree
     m2 = space.moments().m2
-    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), mesh, degree)
     state0 = scheme.init_state(ic.rho0, ic.g0, config0)  # eps-free: one copy per run
+    lim = LimitState(rho=state0.rho, q=state0.g.bracket_v())
     runs = len(spec.eps)
     state = scheme.State(
         rho=DGField(mesh, degree, np.repeat(state0.rho.coeff[None], runs, axis=0)),

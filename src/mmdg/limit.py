@@ -20,15 +20,11 @@ class LimitState:
 
     rho: DGField
     q: DGField
-    n: int = 0
-    t: float = 0.0
 
 
 def init_limit_state(rho0, q0, mesh, degree):
     """L2-project the initial density and flux."""
-    return LimitState(
-        rho=project(rho0, mesh, degree), q=project(q0, mesh, degree), n=0, t=0.0
-    )
+    return LimitState(rho=project(rho0, mesh, degree), q=project(q0, mesh, degree))
 
 
 def step_limit(state, dt, flux, m2):
@@ -38,4 +34,4 @@ def step_limit(state, dt, flux, m2):
         raise ValueError("m2 must be positive")
     rho_new = state.rho - dt * flux_divergence(state.q, flux)
     q_new = m2 * minus_gradient(rho_new, flux)
-    return LimitState(rho=rho_new, q=q_new, n=state.n + 1, t=state.t + dt)
+    return LimitState(rho=rho_new, q=q_new)

@@ -74,12 +74,10 @@ class SchemeConfig:
 
 @dataclass
 class State:
-    """Solution pair at step n and time t."""
+    """The solution pair (rho, g); the drivers count steps and time."""
 
     rho: DGField
     g: KineticField
-    n: int = 0
-    t: float = 0.0
 
 
 def init_state(rho0, g0, config):
@@ -105,7 +103,7 @@ def step(state, config):
         np.subtract(new_coeff, fluct, out=new_coeff, where=positive)
     new_coeff /= c1 + 1.0
     g_new = KineticField(config.space, config.mesh, config.degree, new_coeff)
-    return State(rho=rho_new, g=g_new, n=state.n + 1, t=state.t + dt)
+    return State(rho=rho_new, g=g_new)
 
 
 def _single_eps(config):
@@ -192,11 +190,12 @@ def write_table(path, header, columns, rows):
         fh.write("".join(lines))
 
 
-def save_state(state, config, path, g_norm_lag):
-    """Checkpoint: header with run metadata and |||g^{n-1}|||, then one row per coefficient."""
+def save_state(state, config, path, n, g_norm_lag):
+    """Checkpoint of the state at step n: header with run metadata, t = n dt and
+    |||g^{n-1}|||, then one row per coefficient."""
     mesh, space = config.mesh, config.space
     meta = dict(
-        n=state.n, t=state.t, eps=_single_eps(config), dt=config.dt, degree=config.degree,
+        n=n, t=n * config.dt, eps=_single_eps(config), dt=config.dt, degree=config.degree,
         n_cells=mesh.n_cells, x_min=mesh.x_min, x_max=mesh.x_max, flux=config.flux,
         model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
         continuum_moments=int(config.continuum_moments), g_norm_lag=g_norm_lag,
@@ -213,7 +212,7 @@ def save_state(state, config, path, g_norm_lag):
 
 
 def load_state(path):
-    """Rebuild (state, config, g_norm_lag) from a checkpoint file."""
+    """Rebuild (state, config, n, g_norm_lag) from a checkpoint file."""
     with open(path, newline="") as fh:
         header = fh.readline().strip().lstrip("# ")
         meta = dict(item.split("=", 1) for item in header.split(";"))
@@ -242,8 +241,7 @@ def load_state(path):
                 rho.coeff[int(i), int(j)] = float(val)
             else:
                 g.coeff[int(q), int(i), int(j)] = float(val)
-    state = State(rho=rho, g=g, n=int(meta["n"]), t=float(meta["t"]))
-    return state, config, float(meta["g_norm_lag"])
+    return State(rho=rho, g=g), config, int(meta["n"]), float(meta["g_norm_lag"])
 
 
 def with_dt(config, dt):

@@ -24,7 +24,7 @@ def pack_state(state):
     return np.concatenate([state.rho.coeff, flat_g], axis=1)
 
 
-def unpack_state(packed, config, n=0, t=0.0):
+def unpack_state(packed, config):
     """Inverse of pack_state on the config's mesh."""
     k1 = config.degree + 1
     rho = DGField(config.mesh, config.degree, packed[:, :k1].copy())
@@ -32,7 +32,7 @@ def unpack_state(packed, config, n=0, t=0.0):
     g = KineticField(
         config.space, config.mesh, config.degree, np.ascontiguousarray(np.swapaxes(g_part, 0, 1))
     )
-    return scheme.State(rho=rho, g=g, n=n, t=t)
+    return scheme.State(rho=rho, g=g)
 
 
 class StencilStepper:
@@ -213,8 +213,7 @@ def run_fixed_steps(config, state, n_steps):
     """
     if n_steps == 0:
         return state
-    packed = StencilStepper(config).propagate(pack_state(state), n_steps)
-    return unpack_state(packed, config, state.n + n_steps, state.t + n_steps * config.dt)
+    return unpack_state(StencilStepper(config).propagate(pack_state(state), n_steps), config)
 
 
 CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes

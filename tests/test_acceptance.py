@@ -337,7 +337,7 @@ def test_c8_ap_limit():
     ic = IC_REGISTRY["sin"]
     # (a) the eps = 0 stepper is the limit stepper
     state = scheme.init_state(ic.rho0, ic.g0, config)
-    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, 1.0), mesh, 1)
+    lim = init_limit_state(ic.rho0, lambda x: -np.cos(x), mesh, 1)  # q0 = -m2 rho0', m2 = 1
     exact_reduction = True
     for _ in range(20):
         state = scheme.step(state, config)
@@ -371,7 +371,7 @@ def test_c8_ap_limit():
             step_dt = min(cap, anchor * m.h ** (k + 1))
             n_steps = math.ceil(tmax / step_dt)
             step_dt = tmax / n_steps
-            st = init_limit_state(ic.rho0, lambda x: ic.q0(x, 1.0), m, k)
+            st = init_limit_state(ic.rho0, lambda x: -np.cos(x), m, k)
             for _ in range(n_steps):
                 st = step_limit(st, step_dt, ALT_LR, 1.0)
             decay = math.exp(-tmax)

@@ -492,9 +492,9 @@ def test_checkpoint_with_crlf_rows_still_loads(tmp_path):
     paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     paths[0].write_bytes(TINY_STATE.encode())
     paths[1].write_bytes((first + "\n" + rest.replace("\n", "\r\n")).encode())
-    (new, new_config, new_lag), (old, old_config, old_lag) = map(load_state, paths)
-    assert (old.n, old.t, old_lag) == (new.n, new.t, new_lag)
-    assert (old.n, old.t, old_lag) == (1, 0.01, 2.7829164246717666e-16)
+    (new, new_config, new_n, new_lag), (old, old_config, old_n, old_lag) = map(load_state, paths)
+    assert (old_n, old_lag) == (new_n, new_lag)
+    assert (old_n, old_lag) == (1, 2.7829164246717666e-16)
     assert np.array_equal(old.rho.coeff, new.rho.coeff)
     assert np.array_equal(old.g.coeff, new.g.coeff)
     assert old.rho.coeff[:, 0].tolist() == [0.61619050847955759, -0.61619050847955759]
@@ -511,9 +511,9 @@ AP_LIMIT_FILES = {
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False;dt_used=0.002;dt_override=0\n"
         "eps,steps,rho_distance,q_distance\n"
-        "0.01,5,6.4864418971180091e-05,0.00057774291100373665\n"
-        "1e-08,5,5.4531032299026405e-11,6.7116813717838959e-10\n"
-        "0,5,2.1485240331677702e-19,1.8368415966654477e-17\n",
+        "0.01,5,6.486441897118005e-05,0.00057774291100373665\n"
+        "1e-08,5,5.4531032253102261e-11,6.7116813717838959e-10\n"
+        "0,5,3.2028305263034316e-20,1.8368415966654477e-17\n",
     ),
     "telegraph-central-k1": (
         "ap-limit --k 1 --flux central --cells 8 --eps 1e-1,1e-6,0 --tmax 0.01",
@@ -542,12 +542,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=bump;"
         "out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,4,0.0050000000000000001,0.10916297658170986,nan,"
-        "0.055221418737951757,nan,\n"
-        "0.10000000000000001,8,0.0011111111111111111,0.052184178340255613,"
-        "1.0647992694989297,0.028726862589952884,0.9428275165961858,\n"
-        "0.10000000000000001,16,0.00015151515151515152,0.012452552754885863,"
-        "2.06717094111543,0.0053588256005918516,2.4224116668692748,\n",
+        "0.10000000000000001,4,0.0050000000000000001,0.10916309667733422,nan,"
+        "0.055221410106231619,nan,\n"
+        "0.10000000000000001,8,0.00062500000000000001,0.052223940040316497,"
+        "1.0637020147273479,0.028734135171834076,0.94246210014771747,\n"
+        "0.10000000000000001,16,7.8125000000000002e-05,0.012461266299628041,"
+        "2.0672606251955328,0.0053653753271384469,2.421014626897954,\n",
     ),
     "telegraph-heat-limit": (
         "converge --k 1 --cells 4,8,16 --eps 1e-8 --tmax 0.01",
@@ -556,10 +556,10 @@ CONVERGE_FILES = {
         "force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
         "1e-08,4,0.01,0.15588737936472999,nan,6.2727045110672087e-09,nan,\n"
-        "1e-08,8,0.0033333333333333335,0.043808363983827758,1.831225888667791,"
-        "2.4633256906658709e-09,1.3484802154875133,\n"
-        "1e-08,16,0.00090909090909090909,0.015528356652291448,1.4963011793716914,"
-        "2.2832119689486258e-10,3.4314706796907322,\n",
+        "1e-08,8,0.0025000000000000001,0.044327473208537506,1.8142310999793942,"
+        "2.3707599814795508e-09,1.403737992991072,\n"
+        "1e-08,16,0.00062500000000000001,0.015509889553122359,1.5150127142549814,"
+        "2.304597301588874e-10,3.3627630244844693,\n",
     ),
     "telegraph-ill-prepared": (
         ONE_CPU_ARGV,
@@ -567,12 +567,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;"
         "ic=ill-prepared;out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,8,0.0022727272727272731,0.0052819334700698042,nan,"
-        "0.0012576619505560317,nan,\n"
-        "0.10000000000000001,16,0.00029585798816568048,0.00070274137504599296,"
-        "2.9100003825874463,0.000143444255741282,3.1321820881540439,\n"
-        "0.10000000000000001,32,3.7174721189591079e-05,8.5644157362022022e-05,"
-        "3.0365671078571168,1.6846827109739088e-05,3.089941387759489,\n",
+        "0.10000000000000001,8,0.0022727272727272731,0.0052820565797138128,nan,"
+        "0.0012577048513121062,nan,\n"
+        "0.10000000000000001,16,0.00028409090909090913,0.00068938313172370053,"
+        "2.9377218518331558,0.00013840588319523976,3.1838162273638124,\n"
+        "0.10000000000000001,32,3.5511363636363641e-05,8.390519610377294e-05,"
+        "3.0384739361787911,1.6198935436962628e-05,3.0949343584891724,\n",
     ),
 }
 

@@ -33,7 +33,7 @@ from mmdg.harness import (
     run_stability_scan,
     unpack_state,
 )
-from mmdg.limit import init_limit_state, step_limit
+from mmdg.limit import LimitState, step_limit
 from mmdg.velocity import TWO_POINT, make_velocity_space
 
 
@@ -45,7 +45,6 @@ def test_registry_entries():
         ic = IC_REGISTRY[name]
         mean = sum(0.5 * ic.g0(x, v) for v in (-1.0, 1.0))
         assert np.max(np.abs(mean)) < 1e-14  # well prepared
-        assert np.max(np.abs(ic.q0(x, 1.0) - 0.5 * (ic.g0(x, 1.0) - ic.g0(x, -1.0)))) < 1e-13
     ill = IC_REGISTRY["ill-prepared"]
     assert np.max(np.abs(ill.g0(x, 1.0) - 1.0)) == 0.0
 
@@ -165,7 +164,6 @@ def test_fixed_steps_match_reference(n_steps, n_cells):
     fast = run_fixed_steps(config, state, n_steps)
     assert np.max(np.abs(ref.rho.coeff - fast.rho.coeff)) < 1e-11
     assert np.max(np.abs(ref.g.coeff - fast.g.coeff)) < 1e-11
-    assert fast.n == n_steps
 
 
 def test_energy_history_matches_scheme_energy():
@@ -200,9 +198,9 @@ def test_solve_constant_data_rows(tmp_path):
     assert "dt_used=" in text.splitlines()[0]
     assert text.splitlines()[1].split(",")[0] == "n"
     # the final state snapshot is importable and matches the run
-    loaded, _, _ = scheme.load_state(str(out) + ".state.csv")
+    loaded, _, n, _ = scheme.load_state(str(out) + ".state.csv")
     assert np.array_equal(loaded.rho.coeff, result.final_state.rho.coeff)
-    assert loaded.n == result.rows[-1]["n"]
+    assert n == result.rows[-1]["n"]
 
 
 def test_solve_well_prepared_monitors():
@@ -904,7 +902,6 @@ def test_zero_fixed_steps_return_the_state():
     ic = IC_REGISTRY["sin"]
     state = scheme.step(scheme.init_state(ic.rho0, ic.g0, config), config)
     out = run_fixed_steps(config, state, 0)
-    assert (out.n, out.t) == (state.n, state.t)
     assert np.array_equal(out.rho.coeff, state.rho.coeff)
     assert np.array_equal(out.g.coeff, state.g.coeff)
 
@@ -954,7 +951,7 @@ def test_solve_checkpoint_lag_is_the_previous_rows_g_norm(monkeypatch, tmp_path,
         _chunk_states(monkeypatch, spec, states)
     result = run_solve(spec)
     assert len(result.rows) == 11
-    _, _, lag = scheme.load_state(str(out) + ".state.csv")
+    _, _, _, lag = scheme.load_state(str(out) + ".state.csv")
     assert lag == result.rows[-2]["g_norm"]
 
 
@@ -1007,6 +1004,29 @@ def test_convergence_first_order_at_degree_zero(flux):
     )
     result = run_convergence(spec)
     assert result.rows[-1]["order_rho"] >= 0.7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        dict(degree=1, cells=(8, 16, 32), eps=(0.1,), tmax=0.002),  # tmax below the first step
+        dict(degree=1, cells=(1, 2, 4), eps=(1e-6,), tmax=0.01),
+        dict(degree=2, cells=(8, 16, 32), eps=(0.1,), tmax=0.05, ic="ill-prepared"),
+        dict(model="slab", nv=4, degree=2, cells=(4, 8, 16), eps=(0.1,), tmax=0.01, ic="bump"),
+    ],
+    ids=["short-tmax", "one-cell", "ill-prepared", "slab-bump"],
+)
+def test_converge_step_counts_scale_like_h_to_the_order(argv):
+    # the finer levels scale the first level's landed step, so where no cap
+    # binds each doubling multiplies the step count by exactly 2^(k+1)
+    spec = ExperimentSpec(mode="converge", **argv)
+    levels, _ = harness._convergence_levels(spec, spec.eps[0], spec.cells)
+    (first, n_first), *finer = levels
+    ratio = 2 ** (spec.degree + 1)
+    for j, (config, n_steps) in enumerate(finer, start=1):
+        assert config.dt < spec.safety * scheme.stable_dt(config)  # no cap binds
+        assert n_steps == n_first * ratio**j
+        assert config.dt == first.dt / ratio**j
 
 
 def test_convergence_needs_doubling_cells():
@@ -1129,7 +1149,8 @@ def test_ap_limit_steps_the_stack_once_per_step(monkeypatch):
     ic = IC_REGISTRY["sin"]
     config0 = build_config(spec, 5, 0.0, dt)
     m2 = config0.space.moments().m2
-    lim = init_limit_state(ic.rho0, lambda x: ic.q0(x, m2), config0.mesh, 2)
+    state0 = scheme.init_state(ic.rho0, ic.g0, config0)
+    lim = LimitState(rho=state0.rho, q=state0.g.bracket_v())
     for _ in range(n_steps):
         lim = step_limit(lim, dt, spec.flux, m2)
     for row, eps in zip(result.rows, spec.eps):
@@ -1139,6 +1160,15 @@ def test_ap_limit_steps_the_stack_once_per_step(monkeypatch):
             state = real_step(state, config)
         assert row["rho_distance"] == (state.rho - lim.rho).norm()
         assert row["q_distance"] == (state.g.bracket_v() - lim.q).norm()
+
+
+def test_one_step_ap_limit_rows_share_their_first_density():
+    # the limit run starts from the first moment <v g0> of the kinetic runs'
+    # own projected data, so the first density update is the same on both sides
+    spec = ExperimentSpec(mode="ap-limit", model="slab", nv=8, degree=1, cells=(16,),
+                          eps=(1e-2, 1e-8, 0.0), tmax=0.001)
+    rows = run_ap_limit(spec).rows
+    assert [(row["steps"], row["rho_distance"]) for row in rows] == [(1, 0.0)] * 3
 
 
 def test_run_dispatch():

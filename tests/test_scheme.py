@@ -63,7 +63,7 @@ def test_single_run_functions_refuse_a_stack(tmp_path):
     for call in (
         lambda: stable_dt(config),
         lambda: energy(state.rho, state.g, config),
-        lambda: save_state(state, config, tmp_path / "state.csv", 1.0),
+        lambda: save_state(state, config, tmp_path / "state.csv", 0, 1.0),
     ):
         with pytest.raises(ValueError, match="a single eps, not a stack of 2 runs"):
             call()
@@ -76,8 +76,6 @@ def _stacked(state, runs):
     return State(
         rho=DGField(rho.mesh, rho.degree, np.repeat(rho.coeff[None], runs, axis=0)),
         g=KineticField(g.space, g.mesh, g.degree, np.repeat(g.coeff[None], runs, axis=0)),
-        n=state.n,
-        t=state.t,
     )
 
 
@@ -94,7 +92,6 @@ def _assert_rows_match_single_runs(stacked, singles):
     for i, single in enumerate(singles):
         assert stacked.rho.coeff[i].tobytes() == single.rho.coeff.tobytes()
         assert stacked.g.coeff[i].tobytes() == single.g.coeff.tobytes()
-        assert (stacked.n, stacked.t) == (single.n, single.t)
 
 
 @pytest.mark.parametrize(
@@ -351,10 +348,9 @@ def test_checkpoint_roundtrip(tmp_path):
     prev = step(_well_prepared(config), config)
     state = step(prev, config)
     path = tmp_path / "state.csv"
-    save_state(state, config, path, prev.g.triple_norm())
-    loaded, loaded_config, loaded_lag = load_state(path)
-    assert loaded.n == state.n
-    assert loaded.t == state.t
+    save_state(state, config, path, 2, prev.g.triple_norm())
+    loaded, loaded_config, n, loaded_lag = load_state(path)
+    assert n == 2
     assert loaded_lag == prev.g.triple_norm()
     assert np.array_equal(loaded.rho.coeff, state.rho.coeff)
     assert np.array_equal(loaded.g.coeff, state.g.coeff)
@@ -372,10 +368,21 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(a.rho.coeff, b.rho.coeff)
 
 
+@pytest.mark.parametrize("n", [0, 28])
+def test_checkpoint_returns_its_step(tmp_path, n):
+    # the caller passes the step; the header writes it and t = n dt
+    config = _config(space=SLAB, dt=3e-4, k=1, n=8)
+    path = tmp_path / "state.csv"
+    save_state(_well_prepared(config), config, path, n, 1.0)
+    with open(path) as fh:
+        assert fh.readline().startswith(f"# n={n};t={scheme.format_value(n * config.dt)};eps=")
+    assert load_state(path)[2:] == (n, 1.0)
+
+
 def test_checkpoint_rejects_truncated_file(tmp_path):
     config = _config(space=SLAB, k=1, n=8)
     path = tmp_path / "state.csv"
-    save_state(_well_prepared(config), config, path, 1.0)
+    save_state(_well_prepared(config), config, path, 0, 1.0)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-5]))
     with pytest.raises(ValueError, match="coefficient rows"):
@@ -440,9 +447,9 @@ def test_checkpoint_bytes_match_the_cell_by_cell_writer(tmp_path, monkeypatch):
     config = _config(space=SLAB, eps=0.05, dt=3e-4, k=2, n=5)
     prev = _well_prepared(config)
     state, lag = step(prev, config), prev.g.triple_norm()
-    save_state(state, config, tmp_path / "fast.csv", lag)
+    save_state(state, config, tmp_path / "fast.csv", 1, lag)
     monkeypatch.setattr(scheme, "write_table", write_table_by_cell)
-    save_state(state, config, tmp_path / "oracle.csv", lag)
+    save_state(state, config, tmp_path / "oracle.csv", 1, lag)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
