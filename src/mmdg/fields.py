@@ -2,13 +2,12 @@
 
 A DGField stores modal Legendre coefficients per cell, shape (n_cells,
 degree+1).  A KineticField stacks one such coefficient table per velocity
-node, shape (n_nodes, n_cells, degree+1).  Either may carry leading axes that
-stack independent runs on one discretization: scheme.step advances such a
-stack, and the L2 errors give one distance per field; DGField's norm and
-integral read single fields only.  The mesh is uniform and periodic;
-interface i-1/2 sits between cells i-1 and i with index arithmetic mod N.
-Initial data enter through the L2 projection: cell moments 0..k match the
-target.
+node, shape (n_nodes, n_cells, degree+1).  A DGField may carry leading axes
+that stack fields on one discretization: the L2 errors give one distance per
+field; its norm and integral read single fields only.  The mesh is uniform
+and periodic; interface i-1/2 sits between cells i-1 and i with index
+arithmetic mod N.  Initial data enter through the L2 projection: cell
+moments 0..k match the target.
 """
 
 from dataclasses import dataclass
@@ -95,7 +94,7 @@ class KineticField:
             coeff = np.zeros((space.n_nodes, mesh.n_cells, degree + 1))
         self.coeff = np.asarray(coeff, dtype=float)
         expected = (space.n_nodes, mesh.n_cells, degree + 1)
-        if self.coeff.shape[-3:] != expected:
+        if self.coeff.shape != expected:
             raise ValueError(f"coefficient shape {self.coeff.shape}, expected {expected}")
 
     def node(self, q):
@@ -104,19 +103,17 @@ class KineticField:
 
     def bracket(self):
         """Velocity average <g> as a DGField (coefficient-wise)."""
-        return DGField(self.mesh, self.degree, self.space.bracket(self.coeff, axis=-3))
+        return DGField(self.mesh, self.degree, self.space.bracket(self.coeff))
 
     def bracket_v(self):
         """First moment <v g> as a DGField."""
-        return DGField(self.mesh, self.degree, self.space.bracket_v(self.coeff, axis=-3))
+        return DGField(self.mesh, self.degree, self.space.bracket_v(self.coeff))
 
     def triple_norm(self):
-        """(sum_q w_q ||g_q||^2)^(1/2), a float, or an array of one per stacked run."""
+        """(sum_q w_q ||g_q||^2)^(1/2)."""
         md = mass_diagonal(self.degree, self.mesh.h)
-        per_node = np.einsum("...qij,j->...q", self.coeff**2, md)
-        # a (1, nv) @ (nv,) product per run: the same dot a single run takes
-        norm = np.sqrt((per_node[..., None, :] @ self.space.weights)[..., 0])
-        return float(norm) if norm.ndim == 0 else norm
+        per_node = np.einsum("qij,j->q", self.coeff**2, md)
+        return float(np.sqrt(per_node @ self.space.weights))
 
 
 def project(f, mesh, degree):

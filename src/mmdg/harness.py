@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import scheme, velocity
-from .fields import DGField, KineticField, Mesh1D, l2_distance, l2_error
+from .fields import DGField, Mesh1D, l2_distance, l2_error
 from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
@@ -462,54 +462,70 @@ def run_stability_scan(spec):
     return result
 
 
+def _defect(packed, config):
+    """(d_rho, d_q), the last 2(k + 1) columns of a joint packed state, as DGFields."""
+    halves = np.split(packed[:, -2 * (config.degree + 1) :], 2, axis=1)
+    return [DGField(config.mesh, config.degree, half) for half in halves]
+
+
+def _joint_step(kinetic, m2):
+    """ap-limit's step on (rho, g, d_rho, d_q), d_rho = rho - rho_lim and
+    d_q = <v g> - q_lim, packed: one scheme.step on the kinetic config and one
+    step_limit from the limit state (rho - d_rho, <v g> - d_q)."""
+
+    def step(packed, config):
+        state = unpack_state(packed[:, : -2 * config.degree - 2], config)
+        d_rho, d_q = _defect(packed, config)
+        lim = LimitState(rho=state.rho - d_rho, q=state.g.bracket_v() - d_q)
+        state = scheme.step(state, replace(kinetic, mesh=config.mesh))
+        lim = step_limit(lim, config.dt, config.flux, m2)
+        defect = (state.rho - lim.rho, state.g.bracket_v() - lim.q)
+        return np.concatenate([pack_state(state), *(d.coeff for d in defect)], axis=1)
+
+    return step
+
+
 def run_ap_limit(spec):
     """Run kinetic and limit schemes side by side, one row per eps.
 
     All runs share (N, degree, dt, flux) and the spec's initial data, well-
     or ill-prepared: the limit run starts from the kinetic runs' projected
-    rho0 and the first moment <v g0> of their projected g0.  Distances are
-    coefficient-space L2 norms on the shared mesh.  The step follows
-    solve's dt policy, landing on tmax, with the zero-eps stable step shrunk
-    by the margin c0, the strict-inequality gap the limit analysis asks for.
-    The kinetic runs advance as one stack, one scheme.step per step, each run
-    with the operations it takes alone: at eps = 0 telegraph matches the limit
-    bit for bit, slab at roundoff (its <v g> sums w_q v_q^2 where the limit has m2).
-    A non-finite distance, from a forced step beyond the stable one, flags the
-    run as diverged.
+    rho0 and <v g0>, so the defect (rho - rho_lim, <v g> - q_lim) starts at
+    exactly 0.  Per eps, one propagate powers the probed _joint_step, and the
+    distances are the L2 norms of the final defect.  The stepper holds the
+    eps = 0 config, whose dt_stab, the smallest over eps, guards the live
+    cut.  The step follows solve's dt policy, landing on tmax, with the
+    zero-eps stable step shrunk by the margin c0, the strict-inequality gap
+    the limit analysis asks for.  At eps = 0 telegraph matches the limit bit
+    for bit, slab at roundoff (its <v g> sums w_q v_q^2 where the limit has
+    m2).  A non-finite distance, from a forced step beyond the stable one,
+    flags the run as diverged.
     """
     spec.validate()
     if len(spec.cells) != 1:
         raise ValueError("ap-limit mode needs exactly one cell count")
     ic = IC_REGISTRY[spec.ic]
-    config0 = build_config(spec, spec.cells[0], 0.0, dt=1.0)
-    dt, overrode = resolve_dt(spec, config0, margin=1.0 - spec.c0)
+    config = build_config(spec, spec.cells[0], 0.0, dt=1.0)
+    dt, overrode = resolve_dt(spec, config, margin=1.0 - spec.c0)
     _check_budget(spec.tmax, dt)  # it takes every step: every plan is held to the budget
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
-    config = replace(config0, eps=np.array(spec.eps, dtype=float), dt=dt)  # checks every eps
-    space, mesh, degree = config.space, config.mesh, config.degree
-    m2 = space.moments().m2
-    state0 = scheme.init_state(ic.rho0, ic.g0, config0)  # eps-free: one copy per run
-    lim = LimitState(rho=state0.rho, q=state0.g.bracket_v())
-    runs = len(spec.eps)
-    state = scheme.State(
-        rho=DGField(mesh, degree, np.repeat(state0.rho.coeff[None], runs, axis=0)),
-        g=KineticField(space, mesh, degree, np.repeat(state0.g.coeff[None], runs, axis=0)),
-    )
+    config = scheme.with_dt(config, dt)
+    kinetic_configs = [replace(config, eps=eps) for eps in spec.eps]  # refuses a bad eps up front
+    state0 = pack_state(scheme.init_state(ic.rho0, ic.g0, config))  # eps-free: shared by every run
+    packed = np.pad(state0, ((0, 0), (0, 2 * config.degree + 2)))  # the defect starts at 0
+    m2 = config.space.moments().m2
     rows = []
     # a forced unstable step overflows; its distances come out non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            lim = step_limit(lim, dt, spec.flux, m2)
-            state = scheme.step(state, config)
-        for i, eps in enumerate(spec.eps):
-            rho = DGField(mesh, degree, state.rho.coeff[i])
-            g = KineticField(space, mesh, degree, state.g.coeff[i])
+        for kinetic in kinetic_configs:
+            stepper = StencilStepper(config, _joint_step(kinetic, m2), packed.shape[1])
+            d_rho, d_q = _defect(stepper.propagate(packed, n_steps), config)
             rows.append(
                 {
-                    "eps": eps,
+                    "eps": kinetic.eps,
                     "steps": n_steps,
-                    "rho_distance": (rho - lim.rho).norm(),
-                    "q_distance": (g.bracket_v() - lim.q).norm(),
+                    "rho_distance": d_rho.norm(),
+                    "q_distance": d_q.norm(),
                 }
             )
     diverged = not all(math.isfinite(row[key]) for row in rows

@@ -114,5 +114,5 @@ def streaming_fluctuation(g):
     result vanishes identically.
     """
     streamed = upwind_streaming(g)
-    mean = g.space.bracket(streamed.coeff, axis=-3)
-    return KineticField(g.space, g.mesh, g.degree, streamed.coeff - mean[..., None, :, :])
+    mean = g.space.bracket(streamed.coeff)
+    return KineticField(g.space, g.mesh, g.degree, streamed.coeff - mean)

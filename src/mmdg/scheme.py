@@ -8,17 +8,11 @@ off) and D the residual of -d/dx rho.  The stiff relaxation and gradient
 terms are folded into the division, which is scaled by eps^2 so eps = 0 is a
 valid input: the step then degenerates to the explicit limit update
 g_new = v * D(rho_new).
-
-A config whose eps is a 1-D array advances a stack of runs that differ only
-in eps: the state's fields carry one leading axis with one entry per eps, and
-each run takes exactly the floating-point operations it takes alone.
 """
 
 import csv
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import velocity
 from .basis import inverse_constants
@@ -41,8 +35,7 @@ class SchemeConfig:
     its von Neumann boundary stays near h at eps = 1, k = 0.
     continuum_moments replaces node moments by the exact continuum values
     (||v||_inf = 1, <|v|> = 1/2) in the stability constants of the
-    gauss-ordinates model.  eps may be a 1-D array: one run per entry,
-    for step only.
+    gauss-ordinates model.
     """
 
     eps: float
@@ -55,18 +48,15 @@ class SchemeConfig:
     continuum_moments: bool = False
 
     def __post_init__(self):
-        if np.ndim(self.eps) > 1:
-            raise ValueError("eps must be a number or a 1-D array")
-        eps = np.ravel(self.eps).tolist()  # Python floats: overflow is inf, not a warning
-        if any(e < 0 for e in eps):
+        if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        for e in eps:
-            if not math.isfinite(e * e / self.dt):
-                raise ValueError(
-                    f"eps={e:.6g} is too large: eps^2/dt overflows at dt={self.dt:.6g}"
-                )
+        eps = float(self.eps)  # a Python float: overflow is inf, not a warning
+        if not math.isfinite(eps * eps / self.dt):
+            raise ValueError(
+                f"eps={eps:.6g} is too large: eps^2/dt overflows at dt={self.dt:.6g}"
+            )
         if not 0 <= self.degree:
             raise ValueError("degree must be >= 0")
         check_flux(self.flux)
@@ -88,29 +78,18 @@ def init_state(rho0, g0, config):
 
 
 def step(state, config):
-    """Advance one step, or one step of each run of a stack; pure function of (state, config)."""
-    eps = np.asarray(config.eps)[..., None, None, None]  # against (runs..., nv, N, k + 1)
-    dt = config.dt
+    """Advance one step; pure function of (state, config)."""
+    eps, dt = config.eps, config.dt
     rho_new = state.rho - dt * moment_flux_divergence(state.g, config.flux)
     grad = minus_gradient(rho_new, config.flux)
     v = config.space.nodes
     c1 = eps * eps / dt
-    new_coeff = c1 * state.g.coeff + v[:, None, None] * grad.coeff[..., None, :, :]
-    positive = eps > 0.0
-    if config.include_bh and positive.any():
-        # rows with eps = 0 skip the subtraction, as a run alone does
-        fluct = eps * streaming_fluctuation(state.g).coeff
-        np.subtract(new_coeff, fluct, out=new_coeff, where=positive)
+    new_coeff = c1 * state.g.coeff + v[:, None, None] * grad.coeff
+    if config.include_bh and eps > 0.0:
+        new_coeff -= eps * streaming_fluctuation(state.g).coeff
     new_coeff /= c1 + 1.0
     g_new = KineticField(config.space, config.mesh, config.degree, new_coeff)
     return State(rho=rho_new, g=g_new)
-
-
-def _single_eps(config):
-    """The config's eps; a stack of runs has no one stable step, energy or checkpoint."""
-    if np.ndim(config.eps):
-        raise ValueError(f"this needs a single eps, not a stack of {np.size(config.eps)} runs")
-    return config.eps
 
 
 def stable_dt(config):
@@ -124,7 +103,7 @@ def stable_dt(config):
     two-point model obeys the eps-independent bound h^2/(c_hat + 4 c^2) for
     k >= 1 and h^2/(2 c^2) for k = 0.
     """
-    eps = _single_eps(config)
+    eps = config.eps
     inv = inverse_constants(config.degree)
     if config.continuum_moments and config.space.kind == velocity.GAUSS_ORDINATES:
         moments = velocity.VelocityMoments(
@@ -153,7 +132,7 @@ def stable_dt(config):
 
 def energy(rho, g_lag, config):
     """Discrete energy ||rho^n||^2 + eps^2 |||g^{n-1}|||^2; g_lag is g^{n-1}, g^0 at n = 0."""
-    return rho.norm() ** 2 + _single_eps(config) ** 2 * g_lag.triple_norm() ** 2
+    return rho.norm() ** 2 + config.eps**2 * g_lag.triple_norm() ** 2
 
 
 def _format_of(kind):
@@ -195,7 +174,7 @@ def save_state(state, config, path, n, g_norm_lag):
     |||g^{n-1}|||, then one row per coefficient."""
     mesh, space = config.mesh, config.space
     meta = dict(
-        n=n, t=n * config.dt, eps=_single_eps(config), dt=config.dt, degree=config.degree,
+        n=n, t=n * config.dt, eps=config.eps, dt=config.dt, degree=config.degree,
         n_cells=mesh.n_cells, x_min=mesh.x_min, x_max=mesh.x_max, flux=config.flux,
         model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
         continuum_moments=int(config.continuum_moments), g_norm_lag=g_norm_lag,

@@ -1,8 +1,9 @@
 """The compiled one-step map on the packed layout, one (n_cells, (1 + nv)(k + 1))
 array per state: per cell, the k + 1 modes of rho, then those of g at each velocity
-node in turn.  StencilStepper compiles scheme.step on it, and run_fixed_steps is one
-propagate; LiveSpectrum marches its Fourier symbol on the frequencies a state holds,
-for solve and for energy_history wherever the cut drops one."""
+node in turn.  StencilStepper compiles scheme.step on it (or ap-limit's joint step on a
+wider block), and run_fixed_steps is one propagate; LiveSpectrum marches its Fourier
+symbol on the frequencies a state holds, for solve and for energy_history wherever the
+cut drops one."""
 
 import math
 from dataclasses import replace
@@ -35,12 +36,18 @@ def unpack_state(packed, config):
     return scheme.State(rho=rho, g=g)
 
 
-class StencilStepper:
-    """Compiled form of the linear one-step map as a banded block stencil.
+def _packed_step(packed, config):
+    """scheme.step on the packed layout."""
+    return pack_state(scheme.step(unpack_state(packed, config), config))
 
-    The step couples each cell to at most two neighbors on each side, so the
-    whole update is five (block x block) matrices applied to the packed state
-    (n_cells, block).  Blocks are probed from scheme.step itself, which keeps
+
+class StencilStepper:
+    """Compiled form of a linear one-step map as a banded block stencil.
+
+    The map is packed_step(packed, config) on (n_cells, block) states, scheme.step
+    by default.  It couples each cell to at most two neighbors on each side, so
+    the whole update is five (block x block) matrices applied to the packed
+    state.  Blocks are probed from the map itself, which keeps
     this a pure acceleration of the reference stepper.  The step is
     translation-invariant on the uniform periodic mesh, so the blocks depend
     only on h: one step on 2^j >= 5 block cells of width exactly h probes one
@@ -53,10 +60,10 @@ class StencilStepper:
 
     REACH = 2
 
-    def __init__(self, config):
+    def __init__(self, config, packed_step=_packed_step, block=None):
         self.config = config
         k1 = config.degree + 1
-        block = self.block = (1 + config.space.n_nodes) * k1
+        block = self.block = block or (1 + config.space.n_nodes) * k1
         self._k1 = k1
         self._mass = mass_diagonal(config.degree, config.mesh.h)
         self._g_weights = np.multiply.outer(config.space.weights, self._mass).ravel()
@@ -67,7 +74,7 @@ class StencilStepper:
         window = np.arange(width)[:, None] + (n_probe // block) * np.arange(block)
         packed = np.zeros((n_probe, block))
         packed[window[self.REACH], np.arange(block)] = 1.0
-        out = pack_state(scheme.step(unpack_state(packed, probe), probe))
+        out = packed_step(packed, probe)
         self._mblocks = np.swapaxes(out[window], 1, 2)  # [off][:, b] is cell window[off, b]
         # row i of the gather holds cells i + REACH - j, the source of block j
         n = config.mesh.n_cells

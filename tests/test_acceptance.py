@@ -588,3 +588,31 @@ def test_c10_energy_theorem_certificate():
         f"{cases} configs, worst excess {worst:.1e} ({where}); controls "
         + ", ".join(f"{x:.3f}" for x in controls) + f"; {elapsed:.1f}s",
     )
+
+
+# -- 12: rate of the asymptotic limit ----------------------------------------
+
+
+def test_c12_ap_limit_rate():
+    # rho_distance / eps is constant as eps -> 0 at fixed h and dt: the kinetic
+    # run tends to the limit scheme at first order in eps.  The paper states no
+    # rate, so this is a measured regression bound, not the paper's claim: the
+    # ratio holds within 1% from eps = 1e-6 down to 1e-12 (within 1e-5 when
+    # measured), where differencing two O(1) runs loses it to cancellation
+    start = time.perf_counter()
+    tolerance = 0.01
+    eps = (1e-6, 1e-8, 1e-10, 1e-11, 1e-12)
+    worst, ratios = 0.0, []
+    for model, nv in (("telegraph", 2), ("slab", 8)):
+        spec = ExperimentSpec(mode="ap-limit", model=model, nv=nv, degree=1, cells=(64,),
+                              eps=eps, tmax=0.05)
+        ratio = [row["rho_distance"] / row["eps"] for row in run_ap_limit(spec).rows]
+        worst = max(worst, max(abs(r / ratio[0] - 1.0) for r in ratio))
+        ratios.append(ratio[0])
+    elapsed = time.perf_counter() - start
+    _report(
+        "C12 first-order rate of the limit in eps",
+        worst <= tolerance and elapsed < 60.0,
+        "rho_distance/eps " + ", ".join(f"{r:.4e}" for r in ratios)
+        + f", worst spread {worst:.1e}; {elapsed:.1f}s",
+    )

@@ -502,8 +502,9 @@ def test_checkpoint_with_crlf_rows_still_loads(tmp_path):
 
 
 # the whole CSV of two small ap-limit runs, every row included: each row
-# steps scheme.step at k >= 1, so a reordered sum in the weak form, the
-# velocity fold or the mass inversion moves these bytes
+# powers a joint step probed from scheme.step and step_limit at k >= 1, so a
+# reordered sum in the weak form, the velocity fold or the mass inversion
+# moves these bytes
 AP_LIMIT_FILES = {
     "slab-k2": (
         "ap-limit --model slab --nv 4 --k 2 --cells 6 --eps 1e-2,1e-8,0 --tmax 0.01",
@@ -511,9 +512,9 @@ AP_LIMIT_FILES = {
         "flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False;dt_used=0.002;dt_override=0\n"
         "eps,steps,rho_distance,q_distance\n"
-        "0.01,5,6.486441897118005e-05,0.00057774291100373665\n"
-        "1e-08,5,5.4531032253102261e-11,6.7116813717838959e-10\n"
-        "0,5,3.2028305263034316e-20,1.8368415966654477e-17\n",
+        "0.01,5,6.486441897118745e-05,0.00057774291100370055\n"
+        "1e-08,5,5.4531012558418485e-11,6.7116811701616542e-10\n"
+        "0,5,1.166435471797626e-18,1.6684764713483993e-17\n",
     ),
     "telegraph-central-k1": (
         "ap-limit --k 1 --flux central --cells 8 --eps 1e-1,1e-6,0 --tmax 0.01",
@@ -522,8 +523,8 @@ AP_LIMIT_FILES = {
         "include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=sin;out={out};force_dt=False;"
         "continuum_moments=False;dt_used=0.0033333333333333335;dt_override=0\n"
         "eps,steps,rho_distance,q_distance\n"
-        "0.10000000000000001,3,0.004585318079115829,0.18002207563197226\n"
-        "9.9999999999999995e-07,3,2.543076080918378e-08,2.4805044808796005e-06\n"
+        "0.10000000000000001,3,0.00458531807911579,0.18002207563197228\n"
+        "9.9999999999999995e-07,3,2.543076080164658e-08,2.4805044808086737e-06\n"
         "0,3,0,0\n",
     ),
 }
@@ -620,20 +621,45 @@ BLAS_ARGV = "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002"
 _CLI_RUN = "import sys; from mmdg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def _run_at_blas_threads(argv, out, threads):
+    """Run the CLI in a new process with OPENBLAS_NUM_THREADS at threads, or
+    unset for the library's default."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmdg.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    run = subprocess.run([sys.executable, "-c", _CLI_RUN, *argv.split(), "--out", out],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    src = os.path.dirname(os.path.dirname(mmdg.__file__))
     outputs = []
     for threads in ("1", None):  # one BLAS thread, then the library's default
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
         out = str(tmp_path / f"threads-{threads}.csv")
-        argv = [sys.executable, "-c", _CLI_RUN, *BLAS_ARGV.split(), "--out", out]
-        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
+        _run_at_blas_threads(BLAS_ARGV, out, threads)
         with open(out, "rb") as fh, open(out + ".state.csv", "rb") as state:
             outputs.append((fh.read().split(b"\n", 1)[1], state.read()))  # the header echoes out=
+    assert outputs[0] == outputs[1]
+
+
+# the README example and the benchmark's argv at seed 1: the joint symbol is a
+# BLAS zgemm and its squarings batched matmuls, at blocks of 8 and 22
+AP_LIMIT_BLAS_ARGVS = {
+    "readme": "ap-limit --k 1 --cells 32 --eps 1e-2,1e-4,1e-6,1e-8,1e-10 --tmax 0.05",
+    "bench": "ap-limit --model slab --nv 8 --k 1 --cells 64 --eps 0.010771146781,"
+    "0.000106725815963,9.54801902996e-07,9.90965517427e-09,0.0 --tmax 0.05 --ic sin",
+}
+
+
+@pytest.mark.parametrize("case", AP_LIMIT_BLAS_ARGVS)
+def test_ap_limit_bytes_do_not_depend_on_the_blas_thread_count(case, tmp_path):
+    outputs = []
+    for threads in ("1", None):  # one BLAS thread, then the library's default
+        out = str(tmp_path / f"threads-{threads}.csv")
+        _run_at_blas_threads(AP_LIMIT_BLAS_ARGVS[case], out, threads)
+        with open(out, "rb") as fh:
+            outputs.append(fh.read().split(b"\n", 1)[1])  # the header echoes out=
     assert outputs[0] == outputs[1]
 
 
@@ -653,15 +679,8 @@ SCAN_FILE = (
 
 @pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-default"])
 def test_scan_file_bytes_pinned(threads, tmp_path):
-    src = os.path.dirname(os.path.dirname(mmdg.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if threads:
-        env["OPENBLAS_NUM_THREADS"] = threads
     out = str(tmp_path / "scan.csv")
-    argv = [sys.executable, "-c", _CLI_RUN, *SCAN_ARGV.split(), "--out", out]
-    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    _run_at_blas_threads(SCAN_ARGV, out, threads)
     with open(out, newline="") as fh:
         assert fh.read() == SCAN_FILE.format(out=out)
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mmdg import harness, scheme, stencil
@@ -1127,39 +1127,53 @@ def test_ap_limit_follows_dt_policy(tmp_path):
     assert "dt_override=1" in (tmp_path / "ap.csv").read_text().splitlines()[0]
 
 
-def test_ap_limit_steps_the_stack_once_per_step(monkeypatch):
-    # one scheme.step per step advances every eps, and each row keeps the
-    # bytes of stepping its eps alone; a forced large step keeps the roundoff
-    # of the operators visible in the distances
-    spec = ExperimentSpec(
-        mode="ap-limit", model="slab", nv=4, degree=2, cells=(5,), eps=(1e-2, 0.0, 1.0),
-        flux="central", dt=0.2, force_dt=True, tmax=0.6,
-    )
-    calls = []
+AP_LITERAL_RTOL = 1e-4  # joint path against literal stepping, relative
+AP_LITERAL_ATOL = 1e-15  # per step: literal stepping's cancellation of O(1) states
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    space=st.sampled_from([("telegraph", 2), ("slab", 4), ("slab", 8)]),
+    k=st.integers(0, 2),
+    n=st.integers(4, 12),
+    flux=st.sampled_from(["alt-lr", "alt-rl", "central"]),
+    ic=st.sampled_from(sorted(IC_REGISTRY)),
+    eps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3),
+    steps=st.integers(1, 40),
+)
+@example(space=("slab", 8), k=0, n=10, flux="alt-lr", ic="ill-prepared", eps=[2.4e-6], steps=2)
+def test_ap_limit_rows_match_literal_stepping(monkeypatch, space, k, n, flux, ic, eps, steps):
+    # one scheme.step and one step_limit per eps, both inside the joint probe,
+    # and each row within AP_LITERAL_RTOL of stepping its eps and the limit
+    # scheme one step at a time, above literal stepping's own roundoff
+    model, nv = space
+    spec = ExperimentSpec(mode="ap-limit", model=model, nv=nv, degree=k, cells=(n,),
+                          eps=tuple(eps), flux=flux, ic=ic)
+    config = build_config(spec, n, 0.0, dt=1.0)
+    spec.tmax = steps * 0.9 * 0.95 * scheme.stable_dt(config)
     real_step = scheme.step
-
-    def counting_step(state, config):
-        calls.append(np.shape(config.eps))
-        return real_step(state, config)
-
-    monkeypatch.setattr("mmdg.scheme.step", counting_step)
+    steps_taken = _count_calls(monkeypatch, scheme, ("step",))
+    limit_steps_taken = _count_calls(monkeypatch, harness, ("step_limit",))
     result = run_ap_limit(spec)
+    assert (steps_taken["step"], limit_steps_taken["step_limit"]) == (len(eps), len(eps))
     n_steps, dt = result.rows[0]["steps"], result.header["dt_used"]
-    assert calls == [(3,)] * n_steps
-    ic = IC_REGISTRY["sin"]
-    config0 = build_config(spec, 5, 0.0, dt)
-    m2 = config0.space.moments().m2
-    state0 = scheme.init_state(ic.rho0, ic.g0, config0)
+    config = scheme.with_dt(config, dt)
+    m2 = config.space.moments().m2
+    state0 = scheme.init_state(IC_REGISTRY[ic].rho0, IC_REGISTRY[ic].g0, config)
     lim = LimitState(rho=state0.rho, q=state0.g.bracket_v())
     for _ in range(n_steps):
-        lim = step_limit(lim, dt, spec.flux, m2)
-    for row, eps in zip(result.rows, spec.eps):
-        config = build_config(spec, 5, eps, dt)
-        state = scheme.init_state(ic.rho0, ic.g0, config)
+        lim = step_limit(lim, dt, flux, m2)
+    for row, e in zip(result.rows, eps):
+        kinetic = scheme.with_dt(build_config(spec, n, e, dt=1.0), dt)
+        state = state0
         for _ in range(n_steps):
-            state = real_step(state, config)
-        assert row["rho_distance"] == (state.rho - lim.rho).norm()
-        assert row["q_distance"] == (state.g.bracket_v() - lim.q).norm()
+            state = real_step(state, kinetic)
+        literal = {"rho_distance": (state.rho - lim.rho).norm(),
+                   "q_distance": (state.g.bracket_v() - lim.q).norm()}
+        for key, value in literal.items():
+            assert row[key] == pytest.approx(
+                value, rel=AP_LITERAL_RTOL, abs=AP_LITERAL_ATOL * n_steps), (key, e)
 
 
 def test_one_step_ap_limit_rows_share_their_first_density():

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from dg_tools import eval_from_right, write_table_by_cell
 from mmdg import scheme
-from mmdg.fields import DGField, KineticField, Mesh1D
+from mmdg.fields import DGField, Mesh1D
 from mmdg.limit import init_limit_state, step_limit
 from mmdg.operators import ALT_LR, CENTRAL, FLUXES
 from mmdg.scheme import (
     SchemeConfig,
-    State,
     energy,
     init_state,
     load_state,
@@ -45,106 +44,9 @@ def test_config_validation():
         _config(dt=0.0)
     with pytest.raises(ValueError):
         _config(flux="weird")
-    with pytest.raises(ValueError, match=">= 0"):
-        _config(eps=np.array([1e-2, -1.0]))
-    with pytest.raises(ValueError, match="1-D"):
-        _config(eps=np.ones((2, 2)))
-
-
-def test_stacked_config_refuses_overflow_at_the_first_bad_eps():
-    # eps^2 overflows for the last two entries; RuntimeWarnings fail the suite
+    # eps^2 overflows; RuntimeWarnings fail the suite
     with pytest.raises(ValueError, match="eps=1e[+]200 is too large: eps.2/dt overflows"):
-        _config(eps=np.array([0.0, 1e-2, 1e200, 1e300]))
-
-
-def test_single_run_functions_refuse_a_stack(tmp_path):
-    config = _config(eps=np.array([1e-2, 0.0]))
-    state = _well_prepared(_config())
-    for call in (
-        lambda: stable_dt(config),
-        lambda: energy(state.rho, state.g, config),
-        lambda: save_state(state, config, tmp_path / "state.csv", 0, 1.0),
-    ):
-        with pytest.raises(ValueError, match="a single eps, not a stack of 2 runs"):
-            call()
-    assert not (tmp_path / "state.csv").exists()
-
-
-def _stacked(state, runs):
-    # the same state once per run of a stack
-    rho, g = state.rho, state.g
-    return State(
-        rho=DGField(rho.mesh, rho.degree, np.repeat(rho.coeff[None], runs, axis=0)),
-        g=KineticField(g.space, g.mesh, g.degree, np.repeat(g.coeff[None], runs, axis=0)),
-    )
-
-
-def _random_state(config, rng, mean_free=True):
-    state = init_state(lambda x: 0 * x, lambda x, v: 0.0 * x, config)
-    state.rho.coeff[:] = rng.standard_normal(state.rho.coeff.shape)
-    state.g.coeff[:] = rng.standard_normal(state.g.coeff.shape)
-    if mean_free:
-        state.g.coeff -= config.space.bracket(state.g.coeff)[None]
-    return state
-
-
-def _assert_rows_match_single_runs(stacked, singles):
-    for i, single in enumerate(singles):
-        assert stacked.rho.coeff[i].tobytes() == single.rho.coeff.tobytes()
-        assert stacked.g.coeff[i].tobytes() == single.g.coeff.tobytes()
-
-
-@pytest.mark.parametrize(
-    "space,include_bh",
-    [(TELEGRAPH, True), (TELEGRAPH, False), (SLAB, True)],
-    ids=["telegraph", "telegraph-no-bh", "slab"],
-)
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("flux", FLUXES)
-def test_stacked_step_equals_single_runs_bytewise(space, include_bh, k, flux):
-    # 7 cells: N (k + 1) is no multiple of 4 or 8, where a matvec over the
-    # whole stack would round its tail columns differently from a run alone;
-    # a large dt and small eps keep such roundoff in the operators visible
-    eps = np.array([1.0, 0.0, 1e-2, 0.0])
-    config = _config(space=space, eps=eps, dt=0.2, k=k, flux=flux, n=7, include_bh=include_bh)
-    state = _random_state(config, np.random.default_rng(k), mean_free=False)
-    stacked = _stacked(state, len(eps))
-    singles = [state] * len(eps)
-    for _ in range(3):
-        stacked = step(stacked, config)
-        singles = [step(s, dataclasses.replace(config, eps=e)) for s, e in zip(singles, eps)]
-    _assert_rows_match_single_runs(stacked, singles)
-
-
-@settings(max_examples=30, deadline=None, database=None)
-@given(
-    space=st.sampled_from([TELEGRAPH, make_velocity_space(GAUSS_ORDINATES, 4), SLAB]),
-    k=st.integers(0, 2),
-    flux=st.sampled_from(FLUXES),
-    n=st.integers(1, 12),
-    include_bh=st.booleans(),
-    eps=st.lists(st.just(0.0) | st.floats(1e-8, 10.0), min_size=1, max_size=4),
-    dt=st.floats(1e-4, 1e-1),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stacked_step_properties(space, k, flux, n, include_bh, eps, dt, seed):
-    # per run: mass conserved, velocity mean of g stays zero, and the bytes
-    # of stepping it alone
-    config = _config(space=space, eps=np.array(eps), dt=dt, k=k, flux=flux, n=n,
-                     include_bh=include_bh)
-    state = _random_state(config, np.random.default_rng(seed))
-    after = step(_stacked(state, len(eps)), config)
-    singles = [step(state, dataclasses.replace(config, eps=e)) for e in eps]
-    _assert_rows_match_single_runs(after, singles)
-    mass0 = state.rho.integral()
-    # roundoff of data of this size, through interface sums scaled by dt / h
-    scale = np.max(np.abs(state.g.coeff)) + np.max(np.abs(state.rho.coeff))
-    tol = 1e-13 * scale * (1 + dt / config.mesh.h)
-    for i in range(len(eps)):
-        rho = DGField(config.mesh, k, after.rho.coeff[i])
-        g = KineticField(space, config.mesh, k, after.g.coeff[i])
-        assert abs(rho.integral() - mass0) <= tol
-        assert np.max(np.abs(g.bracket().coeff)) <= tol
+        _config(eps=1e200)
 
 
 @pytest.mark.parametrize("space", [TELEGRAPH, SLAB], ids=["telegraph", "slab"])
