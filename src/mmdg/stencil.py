@@ -46,16 +46,18 @@ class StencilStepper:
 
     The map is packed_step(packed, config) on (n_cells, block) states, scheme.step
     by default.  It couples each cell to at most two neighbors on each side, so
-    the whole update is five (block x block) matrices applied to the packed
-    state.  Blocks are probed from the map itself, which keeps
+    the whole update is at most five (block x block) matrices applied to the
+    packed state.  Blocks are probed from the map itself, which keeps
     this a pure acceleration of the reference stepper.  The step is
     translation-invariant on the uniform periodic mesh, so the blocks depend
     only on h: one step on 2^j >= 5 block cells of width exactly h probes one
     unit impulse per column, each alone in its five-cell response window, and
-    folding the offsets mod N makes them exact for every N >= 1.  apply
-    gathers each cell's five neighbors (offsets folded mod N) into one
-    (n_cells, 5 block) array and multiplies it by the five transposed blocks
-    stacked into one (5 block, block) matrix.
+    folding the offsets mod N makes them exact for every N >= 1.  Only the
+    offsets the step reaches are kept, those whose probed block is not all
+    exact zeros: all five for the central flux, -1..1 for the alternating
+    ones.  apply gathers each cell's sources at the kept offsets (folded
+    mod N) into one (n_cells, offsets block) array and multiplies it by
+    their transposed blocks stacked into one (offsets block, block) matrix.
     """
 
     REACH = 2
@@ -75,11 +77,14 @@ class StencilStepper:
         packed = np.zeros((n_probe, block))
         packed[window[self.REACH], np.arange(block)] = 1.0
         out = packed_step(packed, probe)
-        self._mblocks = np.swapaxes(out[window], 1, 2)  # [off][:, b] is cell window[off, b]
-        # row i of the gather holds cells i + REACH - j, the source of block j
+        blocks = np.swapaxes(out[window], 1, 2)  # [j][:, b] is cell window[j, b]
+        reached = blocks.any(axis=(1, 2))
+        self._offsets = np.flatnonzero(reached) - self.REACH  # target cell minus source cell
+        self._mblocks = blocks[reached]
+        # row i of the gather holds cells i - offset, the sources of the kept blocks
         n = config.mesh.n_cells
-        self._gather = (np.arange(n)[:, None] + self.REACH - np.arange(width)) % n
-        self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(width * block, block)
+        self._gather = (np.arange(n)[:, None] - self._offsets) % n
+        self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(-1, block)
 
     def apply(self, packed):
         return np.take(packed, self._gather, axis=0).reshape(len(packed), -1) @ self._stacked
@@ -89,7 +94,7 @@ class StencilStepper:
         the (block, block) matrix that maps rfft(packed)[j] to rfft(apply(packed))[j]."""
         n = self.config.mesh.n_cells
         freqs = np.arange(n // 2 + 1) if freqs is None else freqs
-        phase = np.exp(-2j * np.pi * np.outer(freqs, np.arange(-self.REACH, self.REACH + 1)) / n)
+        phase = np.exp(-2j * np.pi * np.outer(freqs, self._offsets) / n)
         return np.tensordot(phase, self._mblocks, axes=1)
 
     def propagate(self, packed, n_steps):

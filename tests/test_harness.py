@@ -648,13 +648,60 @@ def test_stencil_apply_matches_rolled_sum_and_step(case, n_cells):
     stepper = StencilStepper(config)
     packed = np.random.default_rng(n_cells).standard_normal((n_cells, stepper.block))
     rolled = sum(
-        np.roll(packed, off, axis=0) @ stepper._mblocks[off + stepper.REACH].T
-        for off in range(-stepper.REACH, stepper.REACH + 1)
+        np.roll(packed, off, axis=0) @ block.T
+        for off, block in zip(stepper._offsets, stepper._mblocks)
     )
     stepped = pack_state(scheme.step(unpack_state(packed, config), config))
     out = stepper.apply(packed)
     for ref in (rolled, stepped):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _reached_offsets(packed_step, config, block):
+    """Offsets, target cell minus source cell, at which one packed_step of a
+    unit impulse in the middle cell, one column at a time, is not exactly 0."""
+    n = config.mesh.n_cells
+    reached = set()
+    for column in range(block):
+        packed = np.zeros((n, block))
+        packed[n // 2, column] = 1.0
+        reached.update(np.flatnonzero(packed_step(packed, config).any(axis=1)) - n // 2)
+    return sorted(reached)
+
+
+REACH_BY_FLUX = {"alt-lr": [-1, 0, 1], "alt-rl": [-1, 0, 1], "central": [-2, -1, 0, 1, 2]}
+
+
+@pytest.mark.parametrize("flux", REACH_BY_FLUX)
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(model="telegraph"),
+        dict(model="telegraph", include_bh=False),
+        dict(model="slab", nv=2),
+        dict(model="slab", nv=4),
+        dict(model="slab", nv=8),
+    ],
+    ids=["telegraph", "telegraph-no-bh", "slab-nv2", "slab-nv4", "slab-nv8"],
+)
+def test_stencil_keeps_the_offsets_the_step_reaches(case, flux):
+    # seven cells hold offsets -3..3 apart, so a reach beyond the kept offsets
+    # would show; the stepper reads its offsets from its probe, and they must
+    # be the step's, for scheme.step and for ap-limit's joint step alike
+    expected = REACH_BY_FLUX[flux]
+    for k in range(3):
+        spec = ExperimentSpec(mode="ap-limit", cells=(7,), degree=k, flux=flux, **case)
+        config = build_config(spec, 7, 0.0, dt=0.05)
+        m2 = config.space.moments().m2
+        for eps in (0.0, 0.3):
+            kinetic = build_config(spec, 7, eps, dt=0.05)
+            stepper = StencilStepper(kinetic)
+            assert stepper._offsets.tolist() == expected
+            assert _reached_offsets(stencil._packed_step, kinetic, stepper.block) == expected
+            block = stepper.block + 2 * (k + 1)
+            joint = harness._joint_step(kinetic, m2)
+            assert StencilStepper(config, joint, block)._offsets.tolist() == expected
+            assert _reached_offsets(joint, config, block) == expected
 
 
 @settings(max_examples=30, deadline=None, database=None)
