@@ -63,30 +63,28 @@ def build_parser():
         prog="mmdg",
         description="Kinetic transport solver (micro-macro DG) and experiment drivers",
     )
-    sub = parser.add_subparsers(dest="mode", required=True, metavar="|".join(MODES))
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", help="key=value file with these options")
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--nv", type=int, help="velocity nodes: slab even, default 8; telegraph 2")
-        p.add_argument("--k", dest="degree", type=int, choices=range(5))
-        p.add_argument("--cells", type=_comma_list(int), help="comma list of cell counts")
-        p.add_argument("--eps", type=_comma_list(float), help="comma list of eps values")
-        p.add_argument("--dt", type=_dt_or_auto, help="time step, or 'auto'")
-        p.add_argument("--flux", choices=FLUXES)
-        p.add_argument("--no-bh", dest="include_bh", action="store_const", const=False)
-        p.add_argument("--safety", type=float, help="fraction of dt_stab")
-        p.add_argument("--c0", type=float)
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--ic", help="initial condition name")
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument(
-            "--force-dt",
-            action="store_const",
-            const=True,
-            help="run the given dt even beyond the stable step (instability demos)",
-        )
-        p.add_argument("--continuum-moments", action="store_const", const=True)
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", help="key=value file with these options")
+    parser.add_argument("--model", choices=MODELS)
+    parser.add_argument("--nv", type=int, help="velocity nodes: slab even, default 8; telegraph 2")
+    parser.add_argument("--k", dest="degree", type=int, choices=range(5))
+    parser.add_argument("--cells", type=_comma_list(int), help="comma list of cell counts")
+    parser.add_argument("--eps", type=_comma_list(float), help="comma list of eps values")
+    parser.add_argument("--dt", type=_dt_or_auto, help="time step, or 'auto'")
+    parser.add_argument("--flux", choices=FLUXES)
+    parser.add_argument("--no-bh", dest="include_bh", action="store_const", const=False)
+    parser.add_argument("--safety", type=float, help="fraction of dt_stab")
+    parser.add_argument("--c0", type=float)
+    parser.add_argument("--tmax", type=float)
+    parser.add_argument("--ic", help="initial condition name")
+    parser.add_argument("--out", help="CSV output path")
+    parser.add_argument(
+        "--force-dt",
+        action="store_const",
+        const=True,
+        help="run the given dt even beyond the stable step (instability demos)",
+    )
+    parser.add_argument("--continuum-moments", action="store_const", const=True)
     return parser
 
 
@@ -114,7 +112,7 @@ def main(argv=None):
     try:
         if args.config:
             flags = _config_flags(parser, args.mode, args.config)
-            args = parser.parse_args([args.mode] + flags + argv[1:])
+            args = parser.parse_args(flags + argv)
         values = {key: value for key, value in vars(args).items() if value is not None}
         values.pop("config", None)
         spec = ExperimentSpec(**values).validate()

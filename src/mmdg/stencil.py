@@ -86,8 +86,9 @@ class StencilStepper:
         self._gather = (np.arange(n)[:, None] - self._offsets) % n
         self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(-1, block)
 
-    def apply(self, packed):
-        return np.take(packed, self._gather, axis=0).reshape(len(packed), -1) @ self._stacked
+    def apply(self, packed, out=None):
+        gathered = packed.take(self._gather, axis=0).reshape(len(packed), -1)
+        return np.matmul(gathered, self._stacked, out=out)
 
     def symbol(self, freqs=None):
         """Fourier symbol of the step: per frequency j in freqs (default 0..N//2),
@@ -119,11 +120,19 @@ class StencilStepper:
 
     def rho_norm_sq(self, packed):
         """||rho||^2 of a packed state, or one per state of a stack."""
-        return np.einsum("...ij,j->...", packed[..., : self._k1] ** 2, self._mass)
+        return np.einsum("...ij,j->...", (packed**2)[..., : self._k1], self._mass)
 
     def g_norm_sq(self, packed):
         """|||g|||^2 of a packed state, or one per state of a stack."""
-        return np.einsum("...ij,j->...", packed[..., self._k1 :] ** 2, self._g_weights)
+        return np.einsum("...ij,j->...", (packed**2)[..., self._k1 :], self._g_weights)
+
+
+def _cut_applies(config):
+    """Whether the live cut may drop frequencies: only at dt <= dt_stab."""
+    try:  # slab without b_h has no dt_stab
+        return config.dt <= scheme.stable_dt(config)
+    except ValueError:
+        return False
 
 
 class LiveSpectrum:
@@ -143,10 +152,7 @@ class LiveSpectrum:
         config = self.config = stepper.config
         self.stepper = stepper
         spectrum = np.fft.rfft(packed, axis=0)
-        try:  # slab without b_h has no dt_stab
-            cut = config.dt <= scheme.stable_dt(config)
-        except ValueError:
-            cut = False
+        cut = _cut_applies(config)
         size = np.abs(spectrum).max(axis=1)
         dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         self.freqs = np.flatnonzero(~dead)
@@ -159,9 +165,9 @@ class LiveSpectrum:
         """The step's symbol at the live frequencies, built on first use."""
         return self.stepper.symbol(self.freqs)
 
-    def step(self, spectrum):
+    def step(self, spectrum, out=None):
         """One step: one batched matvec by the symbol, without BLAS."""
-        return np.einsum("fab,fb->fa", self.symbol, spectrum)
+        return np.einsum("fab,fb->fa", self.symbol, spectrum, out=out)
 
     def packed(self, spectrum):
         """The packed state of a live spectrum."""
@@ -234,14 +240,15 @@ CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes
 def _march(advance, norms_sq, state, n_steps, eps_sq, stop_factor=None):
     """Yield the march from state for n = 0..n_steps as chunks (states, E, ok, rho_sq, g_sq, lag_sq).
 
-    advance maps a state to the next, and norms_sq a stack of states to their
-    (||rho||^2, |||g|||^2).  states stacks consecutive states; per state,
-    rho_sq = ||rho^n||^2, g_sq = |||g^n|||^2, lag_sq = |||g^{n-1}|||^2
-    (|||g^0|||^2 at n = 0) and E = rho_sq + eps^2 lag_sq.  The march ends at
-    the first E_n that is non-finite or beyond stop_factor * E_0: that chunk
-    is cut after it and yielded with ok False; no stop_factor means no limit.
-    A chunk holds at most CHUNK_BYTES of states, and its stack is overwritten
-    by the next one.
+    advance(state, out) writes the next state into out and returns it, and
+    norms_sq maps a stack of states to their (||rho||^2, |||g|||^2).  states
+    stacks consecutive states; per state, rho_sq = ||rho^n||^2, g_sq =
+    |||g^n|||^2, lag_sq = |||g^{n-1}|||^2 (|||g^0|||^2 at n = 0) and
+    E = rho_sq + eps^2 lag_sq.  The march ends at the first E_n that is
+    non-finite or beyond stop_factor * E_0: that chunk is cut after it and
+    yielded with ok False; no stop_factor means no limit.  A chunk holds at
+    most CHUNK_BYTES of states, each step is written straight into its slot,
+    and the stack is overwritten by the next chunk.
     """
     buffer = np.empty((max(1, CHUNK_BYTES // max(1, state.nbytes)),) + state.shape, state.dtype)
     limit = math.inf
@@ -252,8 +259,9 @@ def _march(advance, norms_sq, state, n_steps, eps_sq, stop_factor=None):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(len(states)):
                 if first + i:
-                    state = advance(state)
-                states[i] = state
+                    state = advance(state, states[i])
+                else:
+                    states[i] = state
             rho_sq, g_sq = norms_sq(states)
             # E_0 pairs rho^0 with g^0
             lag_sq = np.concatenate([g_sq[:1] if first == 0 else g_last, g_sq[:-1]])
@@ -285,14 +293,14 @@ def energy_history(config, state, n_steps, stop_factor=None):
     E_0 pairs the initial density with the initial g (full starting energy).
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
-    Where the live cut drops a frequency (data that leave one empty, at
-    dt <= dt_stab) the march steps the live spectrum, one small matvec per
-    live frequency; where every frequency is live it steps
-    StencilStepper.apply, which then costs less than a spectral step.
+    The live spectrum is built only where the cut applies, at dt <= dt_stab.
+    Where it drops a frequency (data that leave one empty) the march steps
+    it, one small matvec per live frequency; elsewhere, above dt_stab without
+    an rfft, it steps StencilStepper.apply, which then costs less.
     """
     stepper, packed = StencilStepper(config), pack_state(state)
-    live = LiveSpectrum(stepper, packed)
-    if live.freqs.size < config.mesh.n_cells // 2 + 1:
+    live = LiveSpectrum(stepper, packed) if _cut_applies(config) else None
+    if live and live.freqs.size < config.mesh.n_cells // 2 + 1:
         march = live.march(n_steps, stop_factor)
     else:
         march = _stencil_march(stepper, packed, n_steps, stop_factor)

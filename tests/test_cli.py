@@ -1,9 +1,11 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import mmdg
 from mmdg.cli import build_parser, main, read_config_file
-from mmdg.harness import MODELS, MODES
+from mmdg.harness import MODELS, MODES, ExperimentSpec
 from mmdg.scheme import load_state
 
 
@@ -25,6 +27,33 @@ def test_parser_rejects_bad_flux():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["solve", "--flux", "roe"])
     assert err.value.code == 2
+
+
+def test_argparse_refusals_carry_the_mmdg_prefix(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--flux", "roe"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "mmdg: error:" in message and "invalid choice" in message
+
+
+def test_help_names_every_mode(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    assert all(mode in text for mode in MODES)
+
+
+def test_every_spec_field_but_mode_is_one_option():
+    # main hands the parsed options to ExperimentSpec by dest, so the one
+    # parser and the spec must name the same fields
+    actions = build_parser()._actions
+    assert [a.dest for a in actions if not a.option_strings] == ["mode"]
+    dests = Counter(a.dest for a in actions if a.option_strings)
+    fields = {field.name for field in dataclasses.fields(ExperimentSpec)} - {"mode"}
+    assert {dest: dests[dest] for dest in fields} == dict.fromkeys(fields, 1)
+    assert set(dests) - fields == {"help", "config"}
 
 
 def test_solve_roundtrip(tmp_path, capsys):

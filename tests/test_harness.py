@@ -296,7 +296,7 @@ def _chunk_states(monkeypatch, spec, states):
     monkeypatch.setattr("mmdg.stencil.CHUNK_BYTES", states * live.start.nbytes)
 
 
-@pytest.mark.parametrize("states", [2, 3])
+@pytest.mark.parametrize("states", [1, 2, 3])
 @pytest.mark.parametrize(
     "case",
     [
@@ -307,13 +307,14 @@ def _chunk_states(monkeypatch, spec, states):
 )
 def test_solve_chunks_match_reference(monkeypatch, case, states):
     # tiny chunks put many chunk boundaries inside the run; each row still
-    # matches the literal scheme.step march
+    # matches the literal scheme.step march.  A one-state chunk makes every
+    # step write into the slot it reads.
     spec = ExperimentSpec(mode="solve", **case)
     _chunk_states(monkeypatch, spec, states)
     _assert_solve_matches_reference(spec)
 
 
-@pytest.mark.parametrize("states", [2, 3])
+@pytest.mark.parametrize("states", [1, 2, 3])
 def test_chunked_divergence_matches_reference(monkeypatch, states):
     # the run crosses the limit at step 12, the first state of a later chunk
     # of either size, so the march cuts that chunk short
@@ -561,6 +562,36 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
     # the symbol is built only for the march that steps the live spectrum
     assert calls == ({"apply": len(energies) - 1, "symbol": 0} if steps_apply
                      else {"apply": 0, "symbol": 1})
+
+
+@pytest.mark.parametrize(
+    "data, factor, include_bh, rffts",
+    [
+        ("sin", 1.0, True, 1),
+        ("random", 1.0, True, 1),
+        ("sin", 2.0, True, 0),
+        ("random", 2.0, True, 0),
+        ("sin", None, False, 0),
+    ],
+    ids=["sin-at-dt_stab", "random-at-dt_stab", "sin-above-dt_stab", "random-above-dt_stab",
+         "no-dt_stab"],
+)
+def test_energy_history_takes_an_rfft_only_where_the_cut_applies(
+    monkeypatch, data, factor, include_bh, rffts
+):
+    # above dt_stab, or on the slab without b_h, which has no dt_stab, the cut
+    # cannot drop a frequency, so the probe steps apply without a spectrum
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=1, cells=(32,), eps=(1e-2,),
+                          include_bh=include_bh)
+    config = build_config(spec, 32, 1e-2, dt=1.0)
+    if factor is not None:
+        config = scheme.with_dt(config, factor * scheme.stable_dt(config))
+    state = unpack_state(_probe_packed(config, data), config)
+    energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
+    assert len(calls) == rffts
 
 
 @settings(max_examples=40, deadline=None, database=None)
