@@ -27,7 +27,8 @@ MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
-MAX_STEPS = 10**6  # step budget of solve, ap-limit and the scan's probes
+MAX_STEPS = 10**6  # step budget of every plan but converge's powered runs
+MAX_STATE_BYTES = 2**28  # size budget of one packed state, 256 MiB
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -144,13 +145,20 @@ def build_space(spec):
 
 
 def build_config(spec, n_cells, eps, dt):
+    """The config of one run; one whose packed state would take more than
+    MAX_STATE_BYTES is refused before its mesh or velocity space is built."""
+    n_cells = int(n_cells)
+    n_bytes = 8 * n_cells * (1 + spec.nv) * (spec.degree + 1)
+    if n_bytes > MAX_STATE_BYTES:
+        raise ValueError(f"a packed state of {n_cells} cells takes {n_bytes} bytes, "
+                         f"over the budget {MAX_STATE_BYTES}")
     return scheme.SchemeConfig(
         eps=eps,
         dt=dt,
         degree=spec.degree,
         flux=spec.flux,
         space=build_space(spec),
-        mesh=Mesh1D(*DOMAIN, int(n_cells)),
+        mesh=Mesh1D(*DOMAIN, n_cells),
         include_bh=spec.include_bh,
         continuum_moments=spec.continuum_moments,
     )
@@ -167,35 +175,34 @@ def resolve_dt(spec, config, margin=1.0):
     return spec.dt, spec.dt > bound
 
 
-def _plan_error(tmax, dt, detail=""):
-    """The refusal of a plan to step to tmax by dt: tmax is too large where
-    tmax / dt overflows at a normal dt, and dt is too small otherwise."""
-    if dt >= sys.float_info.min and tmax / dt == math.inf:
-        return ValueError(f"tmax={tmax:.6g} is too large for dt={dt:.6g}: tmax / dt overflows")
-    return ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}{detail}")
+def _steps_for(tmax, dt, exact_dt=False, budget=MAX_STEPS):
+    """(n_steps, dt) covering tmax; without exact_dt the step shrinks to land on tmax.
 
-
-def _check_budget(tmax, dt):
-    """Refuse a dt that plans more than MAX_STEPS steps to tmax."""
-    planned = tmax / dt if dt > 0 else math.inf  # a subnormal dt plans inf steps
-    if not planned <= MAX_STEPS:
-        raise _plan_error(
-            tmax, dt, f": it plans {planned:.7g} steps, over the budget {MAX_STEPS}"
-        )
-
-
-def _steps_for(tmax, dt, exact_dt):
-    """Step count covering tmax; without exact_dt the step shrinks to land on T.
-
-    A step that underflowed to zero, makes tmax / dt overflow or is returned
-    subnormal, where eps^2/dt would overflow for a sound eps, is refused.
+    Refused in this order: a tmax / dt that overflows at a normal dt (tmax
+    is too large), a plan of more than budget steps, and a step that is zero
+    or subnormal, where eps^2/dt would overflow for a sound eps (dt is too
+    small).
     """
-    if dt > 0 and math.isfinite(tmax / dt):
-        n = max(1, math.ceil(tmax / dt - 1e-12))
+    planned = tmax / dt if dt > 0 else math.inf  # so may a subnormal dt
+    if planned == math.inf and dt >= sys.float_info.min:
+        raise ValueError(f"tmax={tmax:.6g} is too large for dt={dt:.6g}: tmax / dt overflows")
+    over = "" if planned <= budget else f": it plans {planned:.7g} steps, over the budget {budget}"
+    if not over and planned < math.inf:
+        n = max(1, math.ceil(planned - 1e-12))
         dt = dt if exact_dt else tmax / n
         if dt >= sys.float_info.min:
             return n, dt
-    raise _plan_error(tmax, dt)
+    raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}{over}")
+
+
+def _plan(spec, n_cells, eps, margin=1.0):
+    """(config, n_steps, header) of a run that takes every step, solve's or
+    ap-limit's: resolve_dt's step, held to the step budget and shrunk to land
+    on tmax unless forced; the header holds dt_used and dt_override."""
+    config = build_config(spec, n_cells, eps, dt=1.0)
+    dt, overrode = resolve_dt(spec, config, margin)
+    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
+    return replace(config, dt=dt), n_steps, {"dt_used": dt, "dt_override": int(overrode)}
 
 
 MIN_PROBE_STEPS = 50
@@ -252,11 +259,7 @@ def run_solve(spec):
     spec.validate()
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
-    config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
-    dt, overrode = resolve_dt(spec, config)
-    _check_budget(spec.tmax, dt)  # a row per step: every plan is held to the budget
-    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
-    config = scheme.with_dt(config, dt)
+    config, n_steps, header = _plan(spec, spec.cells[0], spec.eps[0])
     state = _initial_state(spec, config)
 
     live = LiveSpectrum(StencilStepper(config), pack_state(state))
@@ -274,7 +277,7 @@ def run_solve(spec):
             rows.append(
                 {
                     "n": n,
-                    "t": n * dt,
+                    "t": n * config.dt,
                     "energy": en,
                     "rho_norm": rho_norm,
                     "g_norm": g_norm,
@@ -293,7 +296,7 @@ def run_solve(spec):
         diverged=not ok,
         diverge_step=None if ok else n,
         final_state=state,
-        header={"dt_used": dt, "dt_override": int(overrode), "growth_limit": GROWTH_LIMIT},
+        header={**header, "growth_limit": GROWTH_LIMIT},
     )
     result.write()
     if spec.out:
@@ -309,9 +312,10 @@ REF_FACTOR_T = 16  # and the finest dt divided by this
 def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
-    The first level's dt is resolve_dt's, held to the MAX_STEPS budget where
-    it is finer than the default policy's step.  Every level, a forced one
-    too, shrinks its step to land on tmax, where the errors are measured;
+    The first level's dt is resolve_dt's, held to the step budget where it
+    is finer than the default policy's step; no other step is, since every
+    run is powered at a cost growing as log n_steps.  Every level, a forced
+    one too, shrinks its step to land on tmax, where the errors are measured;
     each finer level's is the first level's landed step scaled by h^(k+1),
     capped by safety * dt_stab.  The reference is None where the exact limit
     solution serves instead.
@@ -323,16 +327,16 @@ def _convergence_levels(spec, eps, cells):
         if not levels:
             dt, _ = resolve_dt(spec, config)
             if dt < ExperimentSpec.safety * scheme.stable_dt(config):
-                _check_budget(spec.tmax, dt)  # a step finer than the default policy's
+                _steps_for(spec.tmax, dt)  # a step finer than the default policy's
         else:
             dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
-        n_steps, dt = _steps_for(spec.tmax, dt, exact_dt=False)
+        n_steps, dt = _steps_for(spec.tmax, dt, budget=math.inf)
         if not levels:
             anchor = dt / h_power
-        levels.append((scheme.with_dt(config, dt), n_steps))
+        levels.append((replace(config, dt=dt), n_steps))
     if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
         return levels, None
-    n_steps, dt = _steps_for(spec.tmax, levels[-1][0].dt / REF_FACTOR_T, exact_dt=False)
+    n_steps, dt = _steps_for(spec.tmax, levels[-1][0].dt / REF_FACTOR_T, budget=math.inf)
     return levels, (build_config(spec, REF_FACTOR_X * cells[-1], eps, dt), n_steps)
 
 
@@ -350,7 +354,9 @@ def run_convergence(spec):
     otherwise against a reference run on a REF_FACTOR_X finer mesh with the
     finest dt / REF_FACTOR_T.  Each run is one run_fixed_steps, which powers
     the step's Fourier symbol.  Every run's config is built at its own dt
-    before the first step, so a bad eps is refused before any work.
+    before the first step, so a bad eps is refused before any work.  A level
+    whose err_rho is exactly 0 measures nothing: its solutions decayed to 0
+    by tmax, which is refused before any row is written.
     """
     spec.validate()
     cells = sorted(int(n) for n in spec.cells)
@@ -359,9 +365,9 @@ def run_convergence(spec):
     for a, b in zip(cells, cells[1:]):
         if b != 2 * a:
             raise ValueError("cell counts must double between levels")
+    blocks = [(eps, *_convergence_levels(spec, eps, cells)) for eps in spec.eps]
     space = build_space(spec)
     m2 = space.moments().m2
-    blocks = [(eps, *_convergence_levels(spec, eps, cells)) for eps in spec.eps]
     rows = []
     for eps, levels, ref in blocks:
         if ref is None:
@@ -377,6 +383,9 @@ def run_convergence(spec):
         for config, n_steps in levels:
             final = run_fixed_steps(config, _initial_state(spec, config), n_steps)
             err_rho, *err_nodes = distance(_field_stack(final), target).tolist()
+            if err_rho == 0.0:
+                raise ValueError(f"tmax={spec.tmax:.6g} is too large: the solutions decay to 0, "
+                                 f"so err_rho is 0 at N={config.mesh.n_cells}")
             err_g = eps * math.sqrt(sum(w * e * e for w, e in zip(space.weights, err_nodes)))
             row = {
                 "eps": eps,
@@ -389,8 +398,7 @@ def run_convergence(spec):
                 "flag": "",
             }
             if prev is not None:
-                if err_rho > 0 and prev["err_rho"] > 0:
-                    row["order_rho"] = math.log2(prev["err_rho"] / err_rho)
+                row["order_rho"] = math.log2(prev["err_rho"] / err_rho)
                 if err_g > 0 and prev["err_g"] > 0:
                     row["order_g"] = math.log2(prev["err_g"] / err_g)
                 if err_rho > prev["err_rho"]:
@@ -421,14 +429,14 @@ def run_stability_scan(spec):
     for n_cells in spec.cells:
         for eps in spec.eps:
             config = build_config(spec, n_cells, eps, dt=1.0)
-            config = scheme.with_dt(config, scheme.stable_dt(config))
-            _check_budget(spec.tmax, config.dt)
+            config = replace(config, dt=scheme.stable_dt(config))
+            _steps_for(spec.tmax, config.dt, exact_dt=True)
             cases.append((config, _initial_state(spec, config)))
     rows = []
     for config, state in cases:
 
         def probe(dt):
-            return is_stable(scheme.with_dt(config, dt), state, spec.tmax)
+            return is_stable(replace(config, dt=dt), state, spec.tmax)
 
         lo, flag = config.dt, ""
         if not probe(lo):
@@ -505,11 +513,7 @@ def run_ap_limit(spec):
     if len(spec.cells) != 1:
         raise ValueError("ap-limit mode needs exactly one cell count")
     ic = IC_REGISTRY[spec.ic]
-    config = build_config(spec, spec.cells[0], 0.0, dt=1.0)
-    dt, overrode = resolve_dt(spec, config, margin=1.0 - spec.c0)
-    _check_budget(spec.tmax, dt)  # it takes every step: every plan is held to the budget
-    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
-    config = scheme.with_dt(config, dt)
+    config, n_steps, header = _plan(spec, spec.cells[0], 0.0, margin=1.0 - spec.c0)
     kinetic_configs = [replace(config, eps=eps) for eps in spec.eps]  # refuses a bad eps up front
     state0 = pack_state(scheme.init_state(ic.rho0, ic.g0, config))  # eps-free: shared by every run
     packed = np.pad(state0, ((0, 0), (0, 2 * config.degree + 2)))  # the defect starts at 0
@@ -530,7 +534,6 @@ def run_ap_limit(spec):
             )
     diverged = not all(math.isfinite(row[key]) for row in rows
                        for key in ("rho_distance", "q_distance"))
-    header = {"dt_used": dt, "dt_override": int(overrode)}
     result = RunResult(spec=spec, rows=rows, diverged=diverged, header=header)
     result.write()
     return result

@@ -12,7 +12,7 @@ g_new = v * D(rho_new).
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import velocity
 from .basis import inverse_constants
@@ -221,8 +221,3 @@ def load_state(path):
             else:
                 g.coeff[int(q), int(i), int(j)] = float(val)
     return State(rho=rho, g=g), config, int(meta["n"]), float(meta["g_norm_lag"])
-
-
-def with_dt(config, dt):
-    """Copy of the config with a different time step."""
-    return replace(config, dt=dt)

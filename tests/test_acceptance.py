@@ -6,6 +6,7 @@ to see them on success).  Budgets are asserted against the wall clock.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_c2_mean_evolution():
             spec = ExperimentSpec(mode="solve", model=model, degree=k, cells=(16,),
                                   eps=(1e-2,))
             config = build_config(spec, 16, 1e-2, dt=1.0)
-            config = scheme.with_dt(config, 0.9 * scheme.stable_dt(config))
+            config = replace(config, dt=0.9 * scheme.stable_dt(config))
             ic = IC_REGISTRY["sin"]
             state = scheme.init_state(ic.rho0, ic.g0, config)
             worst = 0.0
@@ -113,7 +114,7 @@ def test_c2_mean_evolution():
     for eps in (1e-3, 1.0):
         spec = ExperimentSpec(mode="solve", degree=1, cells=(16,), eps=(eps,))
         config = build_config(spec, 16, eps, dt=1.0)
-        config = scheme.with_dt(config, 0.9 * scheme.stable_dt(config))
+        config = replace(config, dt=0.9 * scheme.stable_dt(config))
         ic = IC_REGISTRY["ill-prepared"]
         state = scheme.init_state(ic.rho0, ic.g0, config)
         factor = eps * eps / (eps * eps + config.dt)
@@ -149,7 +150,7 @@ def test_c3_energy_monotone_grid():
                                           degree=k, cells=(32,), eps=(eps,), flux=flux)
                     config = build_config(spec, 32, eps, dt=1.0)
                     dt = 0.99 * scheme.stable_dt(config)
-                    config = scheme.with_dt(config, dt)
+                    config = replace(config, dt=dt)
                     state = scheme.init_state(ic.rho0, ic.g0, config)
                     n_steps = math.ceil(1.0 / dt)
                     energies, finite = energy_history(config, state, n_steps)
@@ -307,7 +308,7 @@ def test_c7_temporal_order():
     ic = IC_REGISTRY["sin"]
 
     def rho_after(dt, n_steps):
-        cfg = scheme.with_dt(config, dt)
+        cfg = replace(config, dt=dt)
         state = scheme.init_state(ic.rho0, ic.g0, cfg)
         return run_fixed_steps(cfg, state, n_steps).rho
 
@@ -333,7 +334,7 @@ def test_c8_ap_limit():
     config = scheme.SchemeConfig(eps=0.0, dt=1.0, degree=1, flux=ALT_LR,
                                  space=space, mesh=mesh)
     dt = 0.9 * scheme.stable_dt(config)
-    config = scheme.with_dt(config, dt)
+    config = replace(config, dt=dt)
     ic = IC_REGISTRY["sin"]
     # (a) the eps = 0 stepper is the limit stepper
     state = scheme.init_state(ic.rho0, ic.g0, config)
@@ -567,7 +568,7 @@ def test_c10_energy_theorem_certificate():
                         spec = ExperimentSpec(mode="solve", degree=k, cells=(n,), eps=(eps,),
                                               flux=flux, **options)
                         config = build_config(spec, n, eps, dt=1.0)
-                        config = scheme.with_dt(config, scheme.stable_dt(config))
+                        config = replace(config, dt=scheme.stable_dt(config))
                         excess = _lagged_energy_norm(config) - 1.0
                         cases += 1
                         if excess > worst:
@@ -577,10 +578,10 @@ def test_c10_energy_theorem_certificate():
     controls = []
     for eps in (1e-6, 1.0):
         config = _telegraph_k0(16, eps)
-        config = scheme.with_dt(config, 1.05 * scheme.stable_dt(config))
+        config = replace(config, dt=1.05 * scheme.stable_dt(config))
         controls.append(_lagged_energy_norm(config))
     config = _telegraph_k0(64, 1.0, include_bh=False)
-    controls.append(_lagged_energy_norm(scheme.with_dt(config, 0.4 * config.mesh.h)))
+    controls.append(_lagged_energy_norm(replace(config, dt=0.4 * config.mesh.h)))
     elapsed = time.perf_counter() - start
     _report(
         "C10 energy-norm certificate at dt_stab",

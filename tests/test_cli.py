@@ -251,6 +251,59 @@ def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, n_cells, n_bytes",
+    [
+        ("solve --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
+        ("converge --k 0 --cells 5000000,10000000,20000000 --eps 1", 20000000, 480000000),
+        ("stability-scan --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
+        ("ap-limit --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
+        # the levels fit (173 MB at 131072 cells), the reference at 4x does not
+        ("converge --model slab --nv 32 --k 4 --cells 32768,65536,131072 --eps 0.1 --tmax 0.001",
+         524288, 692060160),
+    ],
+    ids=["solve", "converge", "stability-scan", "ap-limit", "converge-reference"],
+)
+def test_oversized_state_refused_before_any_allocation(argv, n_cells, n_bytes, monkeypatch,
+                                                       capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("projected a state before refusing")
+
+    _forbid_steps(monkeypatch)
+    monkeypatch.setattr("mmdg.scheme.init_state", refuse)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == (
+        f"mmdg: error: a packed state of {n_cells} cells takes {n_bytes} bytes, "
+        "over the budget 268435456\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "eps, tmax", [("1e-2", "1e300"), ("1e-2", "400"), ("1e-8", "1e300")],
+    ids=["reference", "reference-400", "heat-limit"],
+)
+def test_converge_refuses_rows_that_measure_nothing(eps, tmax, tmp_path, capsys):
+    # both solutions decay to zero by tmax, so err_rho is exactly 0 and its
+    # order nan; the refusal comes after the runs and before any row is written
+    out = tmp_path / "conv.csv"
+    argv = ["converge", "--k", "1", "--cells", "4,8,16", "--eps", eps, "--tmax", tmax]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mmdg: error: tmax={float(tmax):.6g} is too large: the solutions decay to 0, "
+        "so err_rho is 0 at N=4\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1e-2", "1e-8", "0"])
+def test_converge_keeps_small_nonzero_errors(eps, tmp_path):
+    # at tmax 300 the errors are tiny but nonzero; err_g is 0 at eps = 0 only
+    rows = _converge_rows(tmp_path, ["--cells", "4,8,16", "--eps", eps, "--tmax", "300"])
+    for row in rows:
+        err_rho, err_g = float(row.split(",")[3]), float(row.split(",")[5])
+        assert 0 < err_rho < 1e-100 and (err_g == 0) == (eps == "0")
+
+
 @pytest.mark.parametrize("mode", ["solve", "converge", "stability-scan", "ap-limit"])
 def test_missing_output_directory_refused_before_any_step(mode, monkeypatch, tmp_path, capsys):
     _forbid_steps(monkeypatch)

@@ -5,6 +5,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,47 @@ def test_resolve_dt_policies():
     spec.force_dt = True
     dt, overrode = resolve_dt(spec, config)
     assert dt == 10.0 and overrode
+
+
+_OVER = ": it plans {} steps, over the budget 1000000"
+
+
+@pytest.mark.parametrize(
+    "tmax, dt, kwargs, plan",
+    [
+        # tmax / dt overflows at a normal dt: tmax is blamed, though the plan is over budget too
+        (1e308, 1e-10, {}, "tmax=1e+308 is too large for dt=1e-10: tmax / dt overflows"),
+        # a subnormal dt overflows the count to inf, which is over the budget
+        (1.0, 1e-310, {}, "dt=1e-310 is too small to step to tmax=1" + _OVER.format("inf")),
+        (1.0, 1e-310, {"budget": math.inf}, "dt=1e-310 is too small to step to tmax=1"),
+        # one step covers tmax, but the step that lands on it is subnormal
+        (1e-320, 0.01, {}, "dt=9.99989e-321 is too small to step to tmax=9.99989e-321"),
+        (1e-320, 0.01, {"exact_dt": True}, (1, 0.01)),
+        # an exact step keeps its size; otherwise it shrinks to tmax / n
+        (1.0, 0.3, {"exact_dt": True}, (4, 0.3)),
+        (1.0, 0.3, {}, (4, 0.25)),
+        (1.0, 1e-7, {}, "dt=1e-07 is too small to step to tmax=1" + _OVER.format("1e+07")),
+        (1.0, 1e-7, {"budget": math.inf}, (10**7, 1e-7)),
+    ],
+    ids=[
+        "overflow-blames-tmax",
+        "subnormal-over-budget",
+        "subnormal-unbudgeted",
+        "subnormal-landed",
+        "subnormal-tmax-exact",
+        "exact-keeps-dt",
+        "lands-on-tmax",
+        "over-budget",
+        "unbudgeted",
+    ],
+)
+def test_steps_for_plans(tmax, dt, kwargs, plan):
+    if isinstance(plan, str):
+        with pytest.raises(ValueError) as err:
+            _steps_for(tmax, dt, **kwargs)
+        assert str(err.value) == plan
+    else:
+        assert _steps_for(tmax, dt, **kwargs) == plan
 
 
 def test_step_budget_holds_every_solve_and_ap_limit_plan(monkeypatch):
@@ -288,9 +330,7 @@ def _assert_solve_matches_reference(spec):
 
 def _chunk_states(monkeypatch, spec, states):
     # size solve's chunks to hold this many of the spec's live spectra
-    config = build_config(spec, spec.cells[0], spec.eps[0], dt=1.0)
-    dt = _steps_for(spec.tmax, resolve_dt(spec, config)[0], spec.force_dt)[1]
-    config = scheme.with_dt(config, dt)
+    config = harness._plan(spec, spec.cells[0], spec.eps[0])[0]
     packed = pack_state(harness._initial_state(spec, config))
     live = stencil.LiveSpectrum(StencilStepper(config), packed)
     monkeypatch.setattr("mmdg.stencil.CHUNK_BYTES", states * live.start.nbytes)
@@ -527,7 +567,7 @@ def test_energy_history_matches_the_stencil_march(model, k, n_cells, eps, factor
     # The worst over all 1080 configurations was 6.1e-15 E_0.
     spec = ExperimentSpec(mode="solve", model=model, nv=4, degree=k, cells=(n_cells,), eps=(eps,))
     config = build_config(spec, n_cells, eps, dt=1.0)
-    config = scheme.with_dt(config, factor * scheme.stable_dt(config))
+    config = replace(config, dt=factor * scheme.stable_dt(config))
     packed = _probe_packed(config, data)
     n_steps = harness.MIN_PROBE_STEPS
     energies, ok = energy_history(config, unpack_state(packed, config), n_steps, GROWTH_LIMIT)
@@ -556,7 +596,7 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
         monkeypatch.setattr(StencilStepper, name, counted)
     spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=1, cells=(32,), eps=(1e-2,))
     config = build_config(spec, 32, 1e-2, dt=1.0)
-    config = scheme.with_dt(config, factor * scheme.stable_dt(config))
+    config = replace(config, dt=factor * scheme.stable_dt(config))
     state = unpack_state(_probe_packed(config, data), config)
     energies, _ = energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
     # the symbol is built only for the march that steps the live spectrum
@@ -588,7 +628,7 @@ def test_energy_history_takes_an_rfft_only_where_the_cut_applies(
                           include_bh=include_bh)
     config = build_config(spec, 32, 1e-2, dt=1.0)
     if factor is not None:
-        config = scheme.with_dt(config, factor * scheme.stable_dt(config))
+        config = replace(config, dt=factor * scheme.stable_dt(config))
     state = unpack_state(_probe_packed(config, data), config)
     energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
     assert len(calls) == rffts
@@ -626,7 +666,7 @@ def test_energy_history_decays_at_or_below_the_stable_step(
     spec = ExperimentSpec(mode="solve", degree=k, cells=(n_cells,), eps=(eps,), flux=flux,
                           **variant)
     config = build_config(spec, n_cells, eps, dt=1.0)
-    config = scheme.with_dt(config, factor * scheme.stable_dt(config))
+    config = replace(config, dt=factor * scheme.stable_dt(config))
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_cells, config.space.n_nodes, k + 1))
     g -= config.space.bracket(g, axis=1)[:, None]
@@ -750,7 +790,7 @@ def test_stencil_equals_scheme_step_properties(model, k, n_cells, eps, n_steps, 
     # scheme.step, and propagate(n) is n applies
     spec = ExperimentSpec(mode="solve", model=model, nv=4, degree=k, cells=(n_cells,), eps=(eps,))
     config = build_config(spec, n_cells, eps, dt=1.0)
-    config = scheme.with_dt(config, resolve_dt(spec, config)[0])
+    config = replace(config, dt=resolve_dt(spec, config)[0])
     stepper = StencilStepper(config)
     rng = np.random.default_rng(seed)
     packed = rng.standard_normal((n_cells, stepper.block))
@@ -906,7 +946,7 @@ def test_propagate_powers_every_frequency_above_the_stable_step(monkeypatch):
     # about 6e14 in 200 steps.  Dropping it would report a decayed sine.
     spec = ExperimentSpec(mode="solve", degree=0, cells=(32,), eps=(1.0,))
     config = build_config(spec, 32, 1.0, dt=1.0)
-    config = scheme.with_dt(config, 1.3 * scheme.stable_dt(config))
+    config = replace(config, dt=1.3 * scheme.stable_dt(config))
     stepper, packed = StencilStepper(config), _initial_packed(config)
     stepped = packed
     for _ in range(200):
@@ -1236,14 +1276,14 @@ def test_ap_limit_rows_match_literal_stepping(monkeypatch, space, k, n, flux, ic
     result = run_ap_limit(spec)
     assert (steps_taken["step"], limit_steps_taken["step_limit"]) == (len(eps), len(eps))
     n_steps, dt = result.rows[0]["steps"], result.header["dt_used"]
-    config = scheme.with_dt(config, dt)
+    config = replace(config, dt=dt)
     m2 = config.space.moments().m2
     state0 = scheme.init_state(IC_REGISTRY[ic].rho0, IC_REGISTRY[ic].g0, config)
     lim = LimitState(rho=state0.rho, q=state0.g.bracket_v())
     for _ in range(n_steps):
         lim = step_limit(lim, dt, flux, m2)
     for row, e in zip(result.rows, eps):
-        kinetic = scheme.with_dt(build_config(spec, n, e, dt=1.0), dt)
+        kinetic = replace(build_config(spec, n, e, dt=1.0), dt=dt)
         state = state0
         for _ in range(n_steps):
             state = real_step(state, kinetic)
@@ -1274,7 +1314,7 @@ def test_is_stable_probe():
     config = build_config(spec, 16, 1e-6, dt=1.0)
     ic = IC_REGISTRY["sin"]
     theory = scheme.stable_dt(config)
-    cfg = scheme.with_dt(config, theory)
+    cfg = replace(config, dt=theory)
     assert is_stable(cfg, scheme.init_state(ic.rho0, ic.g0, cfg), 1.0)
-    cfg = scheme.with_dt(config, 50 * theory)
+    cfg = replace(config, dt=50 * theory)
     assert not is_stable(cfg, scheme.init_state(ic.rho0, ic.g0, cfg), 1.0)

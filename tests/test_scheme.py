@@ -19,7 +19,6 @@ from mmdg.scheme import (
     save_state,
     stable_dt,
     step,
-    with_dt,
 )
 from mmdg.velocity import GAUSS_ORDINATES, TWO_POINT, make_velocity_space
 
@@ -202,7 +201,7 @@ def test_energy_monotone_on_random_data(space, k, flux, eps):
     # shifted energy never increases once n >= 1 when dt <= dt_stab
     rng = np.random.default_rng(abs(hash((space.kind, k, flux, eps))) % 2**32)
     config = _config(space=space, eps=eps, dt=1.0, k=k, flux=flux, n=16)
-    config = with_dt(config, stable_dt(config))
+    config = dataclasses.replace(config, dt=stable_dt(config))
     for _ in range(3):
         state = init_state(lambda x: 0 * x, lambda x, v: 0.0 * x, config)
         state.rho.coeff[:] = rng.standard_normal(state.rho.coeff.shape)
@@ -353,10 +352,3 @@ def test_checkpoint_bytes_match_the_cell_by_cell_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(scheme, "write_table", write_table_by_cell)
     save_state(state, config, tmp_path / "oracle.csv", 1, lag)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-
-
-def test_with_dt_copies():
-    config = _config(dt=1e-4)
-    other = with_dt(config, 5e-5)
-    assert other.dt == 5e-5 and config.dt == 1e-4
-    assert other.mesh == config.mesh
