@@ -117,24 +117,23 @@ class KineticField:
 
 
 def project(f, mesh, degree):
-    """L2-project a vectorized callable of x onto the broken P^degree space."""
+    """L2-project a vectorized callable of x, or a stack of them, onto broken P^degree."""
     basis = legendre_basis(degree)
     x, nodes, weights = mesh.quad_points(degree + 2)
     vand = basis.vandermonde(nodes)
     fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
+    fx = np.broadcast_to(fx, fx.shape[:-2] + x.shape)
     # reference-cell moments int f P_m dxi, all cells at once
     moments = fx @ (vand * weights[:, None])
     return DGField(mesh, degree, moments / basis.ref_mass)
 
 
 def project_kinetic(g, mesh, degree, space):
-    """Project g(x, v) node by node onto the broken space."""
-    out = KineticField(space, mesh, degree)
-    for q, v in enumerate(space.nodes):
-        out.coeff[q] = project(lambda x: g(x, v), mesh, degree).coeff
-    return out
+    """Project g(x, v) onto the broken space at every velocity node at once:
+    g is called once, with v as an (nv, 1, 1) array, and must broadcast."""
+    nodes = space.nodes[:, None, None]
+    field = project(lambda x: np.broadcast_to(g(x, nodes), (len(nodes),) + x.shape), mesh, degree)
+    return KineticField(space, mesh, degree, field.coeff)
 
 
 def interface_traces(field):
@@ -169,28 +168,29 @@ def l2_error(field, exact):
 
 
 def l2_distance(coarse, fine):
-    """Quadrature L2 distance between fields on nested meshes.
+    """Exact L2 distance between fields on nested meshes, without quadrature.
 
-    The second field's mesh must refine the first's (same domain, cell
-    count an integer multiple), and both fields must share one degree.
-    Stacked fields give one distance per field, as l2_error does.
+    The second field's mesh must refine the first's r-fold on one domain, at
+    one degree k.  On subcell s, coarse mode j prolongs to sum_m sub[s, j, m]
+    P_m, sub[s, j, m] = (2m+1)/2 int P_j((xi + 2s + 1 - r) / r) P_m(xi) dxi,
+    exact on k + 1 Gauss points.  Fields stacked alike give one distance each.
     """
-    mesh = coarse.mesh
+    mesh, k = coarse.mesh, coarse.degree
     domain = (mesh.x_min, mesh.x_max)
     if (fine.mesh.x_min, fine.mesh.x_max) != domain or fine.mesh.n_cells % mesh.n_cells:
         raise ValueError("meshes do not nest")
-    if fine.degree != coarse.degree:
+    if fine.degree != k:
         raise ValueError("fields have different degrees")
-
-    def coarse_values(x):
-        # each point's cell, once for the whole stack (edge points go right);
-        # gather one field at a time: a stacked gather holds all fields at once
-        rel = np.mod(x.ravel() - mesh.x_min, mesh.x_max - mesh.x_min)
-        idx = np.minimum((rel / mesh.h).astype(int), mesh.n_cells - 1)
-        xi = 2.0 * (rel - (idx + 0.5) * mesh.h) / mesh.h
-        vand = legendre_basis(coarse.degree).vandermonde(np.clip(xi, -1.0, 1.0))
-        coeff = coarse.coeff.reshape(-1, mesh.n_cells, coarse.degree + 1)
-        vals = np.stack([np.einsum("pj,pj->p", vand, c[idx]) for c in coeff])
-        return vals.reshape(coarse.coeff.shape[:-2] + x.shape)
-
-    return l2_error(fine, coarse_values)
+    r = fine.mesh.n_cells // mesh.n_cells
+    basis, (nodes, weights) = legendre_basis(k), gauss_rule(k + 1)
+    inner = basis.vandermonde((nodes + 2 * np.arange(r)[:, None] + 1 - r) / r)  # [s, p, j]
+    modes = basis.vandermonde(nodes) / basis.ref_mass
+    # row j: mode j's fine modes, subcell by subcell; np.tri: none above degree j
+    sub = np.einsum("spj,p,pm,jm->jsm", inner, weights, modes, np.tri(k + 1)).reshape(k + 1, -1)
+    # einsum, not BLAS, so no field's bits depend on the stack; in place, one big array
+    diff = np.einsum("...ij,jn->...in", coarse.coeff, sub).reshape(fine.coeff.shape)
+    diff -= fine.coeff
+    diff *= diff
+    diff *= mass_diagonal(k, fine.mesh.h)
+    dist = np.sqrt(diff.reshape(diff.shape[:-2] + (-1,)).sum(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist

@@ -20,7 +20,7 @@ from .fields import DGField, Mesh1D, l2_distance, l2_error
 from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
-from .stencil import LiveSpectrum, StencilStepper, energy_history, pack_state
+from .stencil import LiveSpectrum, StencilStepper, cut_applies, energy_history, pack_state
 from .stencil import run_fixed_steps, unpack_state
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
@@ -28,7 +28,7 @@ DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
 MAX_STEPS = 10**6  # step budget of every plan but converge's powered runs
-MAX_STATE_BYTES = 2**28  # size budget of one packed state, 256 MiB
+MAX_STATE_BYTES = 2**28  # size budget of one packed state or all-live symbol, 256 MiB
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -144,14 +144,31 @@ def build_space(spec):
     return velocity.make_velocity_space(MODELS[spec.model], spec.nv)
 
 
-def build_config(spec, n_cells, eps, dt):
-    """The config of one run; one whose packed state would take more than
+def _check_bytes(n_bytes, what):
+    """Refuse what, an array of n_bytes bytes, over MAX_STATE_BYTES."""
+    if n_bytes > MAX_STATE_BYTES:
+        raise ValueError(f"{what} takes {n_bytes} bytes, over the budget {MAX_STATE_BYTES}")
+
+
+def _check_symbol(config, powered, block=None):
+    """Refuse a run whose symbol, above dt_stab where the live cut keeps all N // 2 + 1
+    frequencies, takes more than MAX_STATE_BYTES: (N // 2 + 1, block, block) complex,
+    block as in build_config, and as much again for the spare a powered run holds."""
+    if cut_applies(config):
+        return
+    n_freqs = config.mesh.n_cells // 2 + 1
+    block = block or (1 + config.space.n_nodes) * (config.degree + 1)
+    what = f"at dt={config.dt:.6g}, above dt_stab, the symbol of all {n_freqs} frequencies"
+    _check_bytes((1 + powered) * 16 * n_freqs * block**2, what + ", with its spare," * powered)
+
+
+def build_config(spec, n_cells, eps, dt, block=None):
+    """The config of one run; one whose packed state, of block columns per
+    cell (default (1 + nv)(k + 1), one kinetic state), would take more than
     MAX_STATE_BYTES is refused before its mesh or velocity space is built."""
     n_cells = int(n_cells)
-    n_bytes = 8 * n_cells * (1 + spec.nv) * (spec.degree + 1)
-    if n_bytes > MAX_STATE_BYTES:
-        raise ValueError(f"a packed state of {n_cells} cells takes {n_bytes} bytes, "
-                         f"over the budget {MAX_STATE_BYTES}")
+    block = block or (1 + spec.nv) * (spec.degree + 1)
+    _check_bytes(8 * n_cells * block, f"a packed state of {n_cells} cells")
     return scheme.SchemeConfig(
         eps=eps,
         dt=dt,
@@ -195,11 +212,12 @@ def _steps_for(tmax, dt, exact_dt=False, budget=MAX_STEPS):
     raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}{over}")
 
 
-def _plan(spec, n_cells, eps, margin=1.0):
+def _plan(spec, n_cells, eps, margin=1.0, block=None):
     """(config, n_steps, header) of a run that takes every step, solve's or
     ap-limit's: resolve_dt's step, held to the step budget and shrunk to land
-    on tmax unless forced; the header holds dt_used and dt_override."""
-    config = build_config(spec, n_cells, eps, dt=1.0)
+    on tmax unless forced; the header holds dt_used and dt_override.  block
+    is the width of the run's packed state, as in build_config."""
+    config = build_config(spec, n_cells, eps, dt=1.0, block=block)
     dt, overrode = resolve_dt(spec, config, margin)
     n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
     return replace(config, dt=dt), n_steps, {"dt_used": dt, "dt_override": int(overrode)}
@@ -260,6 +278,7 @@ def run_solve(spec):
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
     config, n_steps, header = _plan(spec, spec.cells[0], spec.eps[0])
+    _check_symbol(config, powered=False)
     state = _initial_state(spec, config)
 
     live = LiveSpectrum(StencilStepper(config), pack_state(state))
@@ -318,7 +337,8 @@ def _convergence_levels(spec, eps, cells):
     one too, shrinks its step to land on tmax, where the errors are measured;
     each finer level's is the first level's landed step scaled by h^(k+1),
     capped by safety * dt_stab.  The reference is None where the exact limit
-    solution serves instead.
+    solution serves instead.  Only a forced first level steps above dt_stab,
+    where _check_symbol bounds it: the reference's dt_stab shrinks at most as h^2.
     """
     levels = []
     for n in cells:
@@ -334,6 +354,7 @@ def _convergence_levels(spec, eps, cells):
         if not levels:
             anchor = dt / h_power
         levels.append((replace(config, dt=dt), n_steps))
+        _check_symbol(levels[-1][0], powered=True)
     if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
         return levels, None
     n_steps, dt = _steps_for(spec.tmax, levels[-1][0].dt / REF_FACTOR_T, budget=math.inf)
@@ -513,7 +534,9 @@ def run_ap_limit(spec):
     if len(spec.cells) != 1:
         raise ValueError("ap-limit mode needs exactly one cell count")
     ic = IC_REGISTRY[spec.ic]
-    config, n_steps, header = _plan(spec, spec.cells[0], 0.0, margin=1.0 - spec.c0)
+    joint = (3 + spec.nv) * (spec.degree + 1)  # the kinetic block, then the defect's 2(k + 1)
+    config, n_steps, header = _plan(spec, spec.cells[0], 0.0, margin=1.0 - spec.c0, block=joint)
+    _check_symbol(config, powered=True, block=joint)
     kinetic_configs = [replace(config, eps=eps) for eps in spec.eps]  # refuses a bad eps up front
     state0 = pack_state(scheme.init_state(ic.rho0, ic.g0, config))  # eps-free: shared by every run
     packed = np.pad(state0, ((0, 0), (0, 2 * config.degree + 2)))  # the defect starts at 0

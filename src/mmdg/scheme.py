@@ -71,7 +71,7 @@ class State:
 
 
 def init_state(rho0, g0, config):
-    """L2-project the initial data; g0 is a callable of (x, v)."""
+    """L2-project the initial data; g0(x, v) takes v as one (nv, 1, 1) array and must broadcast."""
     rho = project(rho0, config.mesh, config.degree)
     g = project_kinetic(g0, config.mesh, config.degree, config.space)
     return State(rho=rho, g=g)

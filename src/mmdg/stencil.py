@@ -86,6 +86,11 @@ class StencilStepper:
         self._gather = (np.arange(n)[:, None] - self._offsets) % n
         self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(-1, block)
 
+    @cached_property
+    def cut(self):
+        """Whether the live cut may drop frequencies (cut_applies), decided once."""
+        return cut_applies(self.config)
+
     def apply(self, packed, out=None):
         gathered = packed.take(self._gather, axis=0).reshape(len(packed), -1)
         return np.matmul(gathered, self._stacked, out=out)
@@ -127,7 +132,7 @@ class StencilStepper:
         return np.einsum("...ij,j->...", (packed**2)[..., self._k1 :], self._g_weights)
 
 
-def _cut_applies(config):
+def cut_applies(config):
     """Whether the live cut may drop frequencies: only at dt <= dt_stab."""
     try:  # slab without b_h has no dt_stab
         return config.dt <= scheme.stable_dt(config)
@@ -152,9 +157,8 @@ class LiveSpectrum:
         config = self.config = stepper.config
         self.stepper = stepper
         spectrum = np.fft.rfft(packed, axis=0)
-        cut = _cut_applies(config)
         size = np.abs(spectrum).max(axis=1)
-        dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
+        dead = stepper.cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         self.freqs = np.flatnonzero(~dead)
         self.start = spectrum[self.freqs]
         n = config.mesh.n_cells
@@ -299,7 +303,7 @@ def energy_history(config, state, n_steps, stop_factor=None):
     an rfft, it steps StencilStepper.apply, which then costs less.
     """
     stepper, packed = StencilStepper(config), pack_state(state)
-    live = LiveSpectrum(stepper, packed) if _cut_applies(config) else None
+    live = LiveSpectrum(stepper, packed) if stepper.cut else None
     if live and live.freqs.size < config.mesh.n_cells // 2 + 1:
         march = live.march(n_steps, stop_factor)
     else:

@@ -257,12 +257,14 @@ def test_bad_case_refused_before_any_step(argv, message, monkeypatch, capsys):
         ("solve --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
         ("converge --k 0 --cells 5000000,10000000,20000000 --eps 1", 20000000, 480000000),
         ("stability-scan --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
-        ("ap-limit --k 0 --cells 20000000 --eps 1", 20000000, 480000000),
+        # ap-limit's joint state holds the defect's 2(k + 1) columns too
+        ("ap-limit --k 0 --cells 20000000 --eps 1", 20000000, 800000000),
+        ("ap-limit --k 0 --cells 10000000 --eps 1", 10000000, 400000000),
         # the levels fit (173 MB at 131072 cells), the reference at 4x does not
         ("converge --model slab --nv 32 --k 4 --cells 32768,65536,131072 --eps 0.1 --tmax 0.001",
          524288, 692060160),
     ],
-    ids=["solve", "converge", "stability-scan", "ap-limit", "converge-reference"],
+    ids=["solve", "converge", "stability-scan", "ap-limit", "ap-limit-joint", "converge-reference"],
 )
 def test_oversized_state_refused_before_any_allocation(argv, n_cells, n_bytes, monkeypatch,
                                                        capsys):
@@ -276,6 +278,29 @@ def test_oversized_state_refused_before_any_allocation(argv, n_cells, n_bytes, m
         f"mmdg: error: a packed state of {n_cells} cells takes {n_bytes} bytes, "
         "over the budget 268435456\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a 2.7 MB state, but above dt_stab all 1025 frequencies are live
+        ("solve --model slab --nv 32 --k 4 --cells 2048 --dt 1 --force-dt --tmax 1",
+         "the symbol of all 1025 frequencies takes 446490000 bytes"),
+        # the symbol alone (223 MB) fits; propagate's spare of its size does not
+        ("converge --model slab --nv 32 --k 4 --cells 1024,2048,4096 --eps 1 --dt 1 --force-dt "
+         "--tmax 1", "the symbol of all 513 frequencies, with its spare, takes 446925600 bytes"),
+    ],
+    ids=["solve", "converge-forced"],
+)
+def test_all_live_symbol_refused_before_it_is_built(argv, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a symbol before refusing")
+
+    _forbid_steps(monkeypatch)
+    monkeypatch.setattr("mmdg.stencil.StencilStepper.symbol", refuse)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == (
+        f"mmdg: error: at dt=1, above dt_stab, {message}, over the budget 268435456\n")
 
 
 @pytest.mark.parametrize(
@@ -625,12 +650,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.01;ic=bump;"
         "out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,4,0.0050000000000000001,0.10916309667733422,nan,"
-        "0.055221410106231619,nan,\n"
-        "0.10000000000000001,8,0.00062500000000000001,0.052223940040316497,"
-        "1.0637020147273479,0.028734135171834076,0.94246210014771747,\n"
-        "0.10000000000000001,16,7.8125000000000002e-05,0.012461266299628041,"
-        "2.0672606251955328,0.0053653753271384469,2.421014626897954,\n",
+        "0.10000000000000001,4,0.0050000000000000001,0.10916309667733419,nan,"
+        "0.055221410106231605,nan,\n"
+        "0.10000000000000001,8,0.00062500000000000001,0.052223940040316386,"
+        "1.0637020147273506,0.028734135171834083,0.94246210014771681,\n"
+        "0.10000000000000001,16,7.8125000000000002e-05,0.01246126629962805,"
+        "2.0672606251955283,0.0053653753271384937,2.4210146268979416,\n",
     ),
     "telegraph-heat-limit": (
         "converge --k 1 --cells 4,8,16 --eps 1e-8 --tmax 0.01",
@@ -650,12 +675,12 @@ CONVERGE_FILES = {
         "dt=None;flux=alt-lr;include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;"
         "ic=ill-prepared;out={out};force_dt=False;continuum_moments=False\n"
         "eps,n_cells,dt,err_rho,order_rho,err_g,order_g,flag\n"
-        "0.10000000000000001,8,0.0022727272727272731,0.0052820565797138128,nan,"
-        "0.0012577048513121062,nan,\n"
-        "0.10000000000000001,16,0.00028409090909090913,0.00068938313172370053,"
-        "2.9377218518331558,0.00013840588319523976,3.1838162273638124,\n"
-        "0.10000000000000001,32,3.5511363636363641e-05,8.390519610377294e-05,"
-        "3.0384739361787911,1.6198935436962628e-05,3.0949343584891724,\n",
+        "0.10000000000000001,8,0.0022727272727272731,0.0052820565797140721,nan,"
+        "0.0012577048513120904,nan,\n"
+        "0.10000000000000001,16,0.00028409090909090913,0.00068938313172399891,"
+        "2.937721851832602,0.00013840588319522908,3.1838162273639057,\n"
+        "0.10000000000000001,32,3.5511363636363641e-05,8.390519610402827e-05,"
+        "3.0384739361750257,1.6198935436952067e-05,3.094934358490002,\n",
     ),
 }
 

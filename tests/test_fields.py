@@ -26,6 +26,7 @@ from mmdg.fields import (
     project,
     project_kinetic,
 )
+from mmdg.harness import IC_REGISTRY
 from mmdg.velocity import GAUSS_ORDINATES, TWO_POINT, make_velocity_space
 
 MODES = (L2, RADAU_MINUS, RADAU_PLUS)
@@ -185,6 +186,29 @@ def test_norm_examples():
     assert g_v.triple_norm() == pytest.approx(np.sqrt(2 * np.pi), abs=1e-13)
 
 
+def _project_kinetic_node_by_node(g, mesh, degree, space):
+    # the projection as it was taken before: one project per velocity node
+    out = KineticField(space, mesh, degree)
+    for q, v in enumerate(space.nodes):
+        out.coeff[q] = project(lambda x: g(x, v), mesh, degree).coeff
+    return out
+
+
+@pytest.mark.parametrize("ic", ["sin", "ill-prepared", "bump"])
+@pytest.mark.parametrize(
+    "kind, nv", [(TWO_POINT, 2)] + [(GAUSS_ORDINATES, nv) for nv in (2, 4, 8, 16, 32)]
+)
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_project_kinetic_matches_node_by_node(ic, kind, nv, k):
+    # one call of g0 on all nodes gives, bit for bit, the per-node projections:
+    # a v-dependent g0 (sin, bump) and one that ignores v (ill-prepared)
+    space = make_velocity_space(kind, nv)
+    mesh = _mesh(7)
+    g0 = IC_REGISTRY[ic].g0
+    stacked = project_kinetic(g0, mesh, k, space).coeff
+    assert stacked.tobytes() == _project_kinetic_node_by_node(g0, mesh, k, space).coeff.tobytes()
+
+
 def test_inner_matches_quadrature():
     rng = np.random.default_rng(9)
     mesh = _mesh(4)
@@ -232,7 +256,9 @@ def _l2_distance_one_by_one(coarse, fine):
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("coarse_cells, ratio", [(5, 1), (4, 2), (6, 3), (3, 4), (2, 8)])
 def test_stacked_l2_distance_matches_one_by_one(k, coarse_cells, ratio):
-    # one call on a stack gives, bit for bit, the distance of each pair alone
+    # one call on a stack gives, bit for bit, the distance of each pair alone;
+    # the exact prolongation agrees with the quadrature oracle at roundoff
+    # (worst 5.9e-16 relative over these cases)
     rng = np.random.default_rng(100 * k + 10 * coarse_cells + ratio)
     n_fields = 7
     coarse_mesh, fine_mesh = _mesh(coarse_cells), _mesh(ratio * coarse_cells)
@@ -243,9 +269,53 @@ def test_stacked_l2_distance_matches_one_by_one(k, coarse_cells, ratio):
     for s in range(n_fields):
         one = _l2_distance_one_by_one(DGField(coarse_mesh, k, coarse.coeff[s]),
                                       DGField(fine_mesh, k, fine.coeff[s]))
-        assert l2_distance(DGField(coarse_mesh, k, coarse.coeff[s]),
-                           DGField(fine_mesh, k, fine.coeff[s])) == one
-        assert stacked[s] == one
+        alone = l2_distance(DGField(coarse_mesh, k, coarse.coeff[s]),
+                            DGField(fine_mesh, k, fine.coeff[s]))
+        assert stacked[s] == alone
+        assert alone == pytest.approx(one, rel=2e-15, abs=0)
+
+
+def _exact_l2_distance(coarse, fine, mpmath):
+    # the distance of the same float fields at 40 digits: on each subcell s,
+    # P_j((xi + 2s + 1 - r) / r) is expanded in P_m by a Legendre-Vandermonde
+    # solve at k + 1 points, exact for these degree-k polynomials
+    k, r = coarse.degree, fine.mesh.n_cells // coarse.mesh.n_cells
+    points = [mpmath.mpf(i + 1) / (k + 2) * 2 - 1 for i in range(k + 1)]
+    vand = mpmath.matrix([[mpmath.legendre(m, x) for m in range(k + 1)] for x in points])
+    mass = [mpmath.mpf(fine.mesh.h) / (2 * m + 1) for m in range(k + 1)]
+    total = mpmath.mpf(0)
+    for s in range(r):
+        values = mpmath.matrix([[mpmath.legendre(j, (x + 2 * s + 1 - r) / r) for j in range(k + 1)]
+                                for x in points])
+        sub = vand**-1 * values  # column j: the P_m coefficients of mode j
+        for i in range(coarse.mesh.n_cells):
+            c = [mpmath.mpf(v) for v in coarse.coeff[i]]
+            f = fine.coeff[i * r + s]
+            for m in range(k + 1):
+                prolonged = mpmath.fsum(sub[m, j] * c[j] for j in range(k + 1))
+                total += mass[m] * (prolonged - mpmath.mpf(f[m])) ** 2
+    return mpmath.sqrt(total)
+
+
+def test_l2_distance_beats_quadrature_against_extended_precision():
+    # fields that agree to about 1e-7 lose most digits to cancellation; the
+    # exact prolongation loses fewer than the quadrature oracle
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    worst = {"prolongation": 0.0, "quadrature": 0.0}
+    with mpmath.workdps(40):
+        for k in range(5):
+            for ratio in range(1, 9):
+                coarse_mesh, fine_mesh = _mesh(3), _mesh(3 * ratio)
+                coarse = DGField(coarse_mesh, k, rng.standard_normal((3, k + 1)))
+                fine = project(lambda x: eval_from_right(coarse, x), fine_mesh, k)
+                fine.coeff += 1e-7 * rng.standard_normal(fine.coeff.shape)
+                exact = _exact_l2_distance(coarse, fine, mpmath)
+                for name, dist in (("prolongation", l2_distance(coarse, fine)),
+                                   ("quadrature", _l2_distance_one_by_one(coarse, fine))):
+                    error = float(abs(mpmath.mpf(dist) - exact) / exact)
+                    worst[name] = max(worst[name], error)
+    assert worst["prolongation"] < worst["quadrature"], worst
 
 
 def test_stacked_l2_error_matches_one_by_one():
