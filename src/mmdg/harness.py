@@ -21,13 +21,13 @@ from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
 from .stencil import LiveSpectrum, StencilStepper, cut_applies, energy_history, pack_state
-from .stencil import run_fixed_steps, unpack_state
+from .stencil import probe_cells, run_fixed_steps, unpack_state
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
-MAX_STEPS = 10**6  # step budget of every plan but converge's powered runs
+MAX_STEPS = 10**6  # step budget of a marched run, and of a powered one at a fine step
 MAX_STATE_BYTES = 2**28  # size budget of one packed state or all-live symbol, 256 MiB
 
 # Periodic domain of every experiment; the sin and bump data and converge's
@@ -140,41 +140,27 @@ class ExperimentSpec:
         return self
 
 
-def build_space(spec):
-    return velocity.make_velocity_space(MODELS[spec.model], spec.nv)
-
-
 def _check_bytes(n_bytes, what):
     """Refuse what, an array of n_bytes bytes, over MAX_STATE_BYTES."""
     if n_bytes > MAX_STATE_BYTES:
         raise ValueError(f"{what} takes {n_bytes} bytes, over the budget {MAX_STATE_BYTES}")
 
 
-def _check_symbol(config, powered, block=None):
-    """Refuse a run whose symbol, above dt_stab where the live cut keeps all N // 2 + 1
-    frequencies, takes more than MAX_STATE_BYTES: (N // 2 + 1, block, block) complex,
-    block as in build_config, and as much again for the spare a powered run holds."""
-    if cut_applies(config):
-        return
-    n_freqs = config.mesh.n_cells // 2 + 1
-    block = block or (1 + config.space.n_nodes) * (config.degree + 1)
-    what = f"at dt={config.dt:.6g}, above dt_stab, the symbol of all {n_freqs} frequencies"
-    _check_bytes((1 + powered) * 16 * n_freqs * block**2, what + ", with its spare," * powered)
-
-
 def build_config(spec, n_cells, eps, dt, block=None):
-    """The config of one run; one whose packed state, of block columns per
-    cell (default (1 + nv)(k + 1), one kinetic state), would take more than
-    MAX_STATE_BYTES is refused before its mesh or velocity space is built."""
+    """The config of one run.  Its packed state, of block columns per cell
+    (default (1 + nv)(k + 1)), and StencilStepper's probe of that width are
+    held to MAX_STATE_BYTES before the velocity space is built; the probe's
+    bound holds the nv x nv node matrix and one frequency's symbol too."""
     n_cells = int(n_cells)
     block = block or (1 + spec.nv) * (spec.degree + 1)
-    _check_bytes(8 * n_cells * block, f"a packed state of {n_cells} cells")
+    for cells, what in ((n_cells, "a packed state"), (probe_cells(block), "the stencil probe")):
+        _check_bytes(8 * cells * block, f"{what} of {cells} cells")
     return scheme.SchemeConfig(
         eps=eps,
         dt=dt,
         degree=spec.degree,
         flux=spec.flux,
-        space=build_space(spec),
+        space=velocity.make_velocity_space(MODELS[spec.model], spec.nv),
         mesh=Mesh1D(*DOMAIN, n_cells),
         include_bh=spec.include_bh,
         continuum_moments=spec.continuum_moments,
@@ -212,15 +198,28 @@ def _steps_for(tmax, dt, exact_dt=False, budget=MAX_STEPS):
     raise ValueError(f"dt={dt:.6g} is too small to step to tmax={tmax:.6g}{over}")
 
 
-def _plan(spec, n_cells, eps, margin=1.0, block=None):
-    """(config, n_steps, header) of a run that takes every step, solve's or
-    ap-limit's: resolve_dt's step, held to the step budget and shrunk to land
-    on tmax unless forced; the header holds dt_used and dt_override.  block
-    is the width of the run's packed state, as in build_config."""
+def _plan(spec, n_cells, eps, margin=1.0, block=None, powered=False):
+    """(config, n_steps, header) of a run at resolve_dt's step: solve's, ap-limit's or
+    converge's first level.  The step lands on tmax unless forced in solve or ap-limit
+    (converge measures its errors at tmax); the header holds dt_used and dt_override.
+
+    Two budgets refuse a plan before any step.  MAX_STEPS holds a marched run at
+    any step, and a powered one, whose cost grows as log n_steps, only at a step
+    finer than every mode's default: so fine a step's symbol may round to the
+    identity.  Above dt_stab the live cut keeps all N // 2 + 1 frequencies; their
+    (block, block) complex symbols, block the packed width as in build_config, and
+    a powered run's spare of their size are held to MAX_STATE_BYTES."""
     config = build_config(spec, n_cells, eps, dt=1.0, block=block)
     dt, overrode = resolve_dt(spec, config, margin)
-    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt)
-    return replace(config, dt=dt), n_steps, {"dt_used": dt, "dt_override": int(overrode)}
+    finest = ExperimentSpec.safety * (1.0 - ExperimentSpec.c0) * scheme.stable_dt(config)
+    budget = math.inf if powered and dt >= finest else MAX_STEPS
+    n_steps, dt = _steps_for(spec.tmax, dt, spec.force_dt and spec.mode != "converge", budget)
+    config = replace(config, dt=dt)
+    if not cut_applies(config):
+        n_freqs, block = config.mesh.n_cells // 2 + 1, block or (1 + spec.nv) * (spec.degree + 1)
+        what = f"at dt={dt:.6g}, above dt_stab, the symbol of all {n_freqs} frequencies"
+        _check_bytes((1 + powered) * 16 * n_freqs * block**2, what + ", with its spare," * powered)
+    return config, n_steps, {"dt_used": dt, "dt_override": int(overrode)}
 
 
 MIN_PROBE_STEPS = 50
@@ -278,7 +277,6 @@ def run_solve(spec):
     if len(spec.cells) != 1 or len(spec.eps) != 1:
         raise ValueError("solve mode needs exactly one cell count and one eps")
     config, n_steps, header = _plan(spec, spec.cells[0], spec.eps[0])
-    _check_symbol(config, powered=False)
     state = _initial_state(spec, config)
 
     live = LiveSpectrum(StencilStepper(config), pack_state(state))
@@ -331,30 +329,22 @@ REF_FACTOR_T = 16  # and the finest dt divided by this
 def _convergence_levels(spec, eps, cells):
     """(config, n_steps) of each level, and of the reference run or None.
 
-    The first level's dt is resolve_dt's, held to the step budget where it
-    is finer than the default policy's step; no other step is, since every
-    run is powered at a cost growing as log n_steps.  Every level, a forced
-    one too, shrinks its step to land on tmax, where the errors are measured;
-    each finer level's is the first level's landed step scaled by h^(k+1),
-    capped by safety * dt_stab.  The reference is None where the exact limit
-    solution serves instead.  Only a forced first level steps above dt_stab,
-    where _check_symbol bounds it: the reference's dt_stab shrinks at most as h^2.
+    The first level is _plan's powered run.  Each finer level's step is the
+    first level's landed step scaled by h^(k+1), capped by safety * dt_stab,
+    and every level lands on tmax, where the errors are measured.  No finer
+    step needs a budget: it is powered, and the live cut applies at it.  The
+    reference is None where the exact limit solution serves instead; its step,
+    1/16 of the finest level's, stays below its dt_stab, which shrinks at most as h^2.
     """
-    levels = []
-    for n in cells:
+    first, n_steps, _ = _plan(spec, cells[0], eps, powered=True)
+    levels = [(first, n_steps)]
+    anchor = first.dt / first.mesh.h ** (spec.degree + 1)
+    for n in cells[1:]:
         config = build_config(spec, n, eps, dt=1.0)
         h_power = config.mesh.h ** (spec.degree + 1)
-        if not levels:
-            dt, _ = resolve_dt(spec, config)
-            if dt < ExperimentSpec.safety * scheme.stable_dt(config):
-                _steps_for(spec.tmax, dt)  # a step finer than the default policy's
-        else:
-            dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
+        dt = min(anchor * h_power, spec.safety * scheme.stable_dt(config))
         n_steps, dt = _steps_for(spec.tmax, dt, budget=math.inf)
-        if not levels:
-            anchor = dt / h_power
         levels.append((replace(config, dt=dt), n_steps))
-        _check_symbol(levels[-1][0], powered=True)
     if eps <= _DIFFUSIVE_EPS and spec.ic == "sin":
         return levels, None
     n_steps, dt = _steps_for(spec.tmax, levels[-1][0].dt / REF_FACTOR_T, budget=math.inf)
@@ -377,7 +367,9 @@ def run_convergence(spec):
     the step's Fourier symbol.  Every run's config is built at its own dt
     before the first step, so a bad eps is refused before any work.  A level
     whose err_rho is exactly 0 measures nothing: its solutions decayed to 0
-    by tmax, which is refused before any row is written.
+    by tmax, which is refused before any row is written.  A non-finite error,
+    from a forced step beyond the stable one, flags its row and the run as
+    diverged, as in ap-limit.
     """
     spec.validate()
     cells = sorted(int(n) for n in spec.cells)
@@ -387,12 +379,11 @@ def run_convergence(spec):
         if b != 2 * a:
             raise ValueError("cell counts must double between levels")
     blocks = [(eps, *_convergence_levels(spec, eps, cells)) for eps in spec.eps]
-    space = build_space(spec)
-    m2 = space.moments().m2
     rows = []
     for eps, levels, ref in blocks:
+        space = levels[0][0].space
         if ref is None:
-            decay = math.exp(-m2 * spec.tmax)
+            decay = math.exp(-space.moments().m2 * spec.tmax)
             distance = l2_error
             target = lambda x: np.stack(  # rho, then g at every node
                 [decay * np.sin(x)] + [-v * decay * np.cos(x) for v in space.nodes])
@@ -402,12 +393,15 @@ def run_convergence(spec):
             target = _field_stack(ref_state)
         prev = None
         for config, n_steps in levels:
-            final = run_fixed_steps(config, _initial_state(spec, config), n_steps)
-            err_rho, *err_nodes = distance(_field_stack(final), target).tolist()
+            # a forced unstable step overflows; its errors come out non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                final = run_fixed_steps(config, _initial_state(spec, config), n_steps)
+                err_rho, *err_nodes = distance(_field_stack(final), target).tolist()
             if err_rho == 0.0:
                 raise ValueError(f"tmax={spec.tmax:.6g} is too large: the solutions decay to 0, "
                                  f"so err_rho is 0 at N={config.mesh.n_cells}")
             err_g = eps * math.sqrt(sum(w * e * e for w, e in zip(space.weights, err_nodes)))
+            diverged = not math.isfinite(err_rho + err_g)
             row = {
                 "eps": eps,
                 "n_cells": config.mesh.n_cells,
@@ -416,9 +410,9 @@ def run_convergence(spec):
                 "order_rho": float("nan"),
                 "err_g": err_g,
                 "order_g": float("nan"),
-                "flag": "",
+                "flag": "diverged" if diverged else "",
             }
-            if prev is not None:
+            if prev is not None and not diverged:
                 row["order_rho"] = math.log2(prev["err_rho"] / err_rho)
                 if err_g > 0 and prev["err_g"] > 0:
                     row["order_g"] = math.log2(prev["err_g"] / err_g)
@@ -426,7 +420,7 @@ def run_convergence(spec):
                     row["flag"] = "non-monotone"
             rows.append(row)
             prev = row
-    result = RunResult(spec=spec, rows=rows)
+    result = RunResult(spec=spec, rows=rows, diverged=any(r["flag"] == "diverged" for r in rows))
     result.write()
     return result
 
@@ -535,8 +529,8 @@ def run_ap_limit(spec):
         raise ValueError("ap-limit mode needs exactly one cell count")
     ic = IC_REGISTRY[spec.ic]
     joint = (3 + spec.nv) * (spec.degree + 1)  # the kinetic block, then the defect's 2(k + 1)
-    config, n_steps, header = _plan(spec, spec.cells[0], 0.0, margin=1.0 - spec.c0, block=joint)
-    _check_symbol(config, powered=True, block=joint)
+    config, n_steps, header = _plan(spec, spec.cells[0], 0.0, margin=1.0 - spec.c0, block=joint,
+                                    powered=True)
     kinetic_configs = [replace(config, eps=eps) for eps in spec.eps]  # refuses a bad eps up front
     state0 = pack_state(scheme.init_state(ic.rho0, ic.g0, config))  # eps-free: shared by every run
     packed = np.pad(state0, ((0, 0), (0, 2 * config.degree + 2)))  # the defect starts at 0

@@ -10,9 +10,10 @@ valid input: the step then degenerates to the explicit limit update
 g_new = v * D(rho_new).
 """
 
-import csv
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import velocity
 from .basis import inverse_constants
@@ -207,17 +208,16 @@ def load_state(path):
             include_bh=bool(int(meta["include_bh"])),
             continuum_moments=bool(int(meta["continuum_moments"])),
         )
-        rho = DGField(mesh, config.degree)
-        g = KineticField(space, mesh, config.degree)
-        rows = list(csv.reader(fh))[1:]  # after the column names
-        expected = (1 + space.n_nodes) * mesh.n_cells * (config.degree + 1)
-        if len(rows) != expected:
-            raise ValueError(
-                f"checkpoint {path} holds {len(rows)} coefficient rows, expected {expected}"
-            )
-        for which, q, i, _, j, val in rows:
-            if which == "rho":
-                rho.coeff[int(i), int(j)] = float(val)
-            else:
-                g.coeff[int(q), int(i), int(j)] = float(val)
+        # node -1 is rho; columns node, cell, mode, coefficient, after the column names
+        node, cell, mode, values = np.loadtxt(fh, delimiter=",", skiprows=1,
+                                              usecols=(1, 2, 4, 5), ndmin=2).T
+    shape = (1 + space.n_nodes, mesh.n_cells, config.degree + 1)
+    index = np.ravel_multi_index(np.array([node + 1, cell, mode], dtype=int), shape)
+    coeff = np.zeros(shape)
+    coeff.flat[index] = values
+    if len(index) != coeff.size or len(np.unique(index)) != coeff.size:
+        raise ValueError(f"checkpoint {path}: its {len(index)} coefficient rows do not "
+                         f"assign each of its {coeff.size} coefficients once")
+    rho = DGField(mesh, config.degree, coeff[0])
+    g = KineticField(space, mesh, config.degree, coeff[1:])
     return State(rho=rho, g=g), config, int(meta["n"]), float(meta["g_norm_lag"])

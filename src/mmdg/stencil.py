@@ -70,7 +70,7 @@ class StencilStepper:
         self._mass = mass_diagonal(config.degree, config.mesh.h)
         self._g_weights = np.multiply.outer(config.space.weights, self._mass).ravel()
         width = 2 * self.REACH + 1
-        n_probe = 1 << (width * block - 1).bit_length()
+        n_probe = probe_cells(block)
         probe = replace(config, mesh=Mesh1D(0.0, n_probe * config.mesh.h, n_probe))
         # column b: one impulse mid-window in cells b * stride + 0..4, which hold its response
         window = np.arange(width)[:, None] + (n_probe // block) * np.arange(block)
@@ -130,6 +130,11 @@ class StencilStepper:
     def g_norm_sq(self, packed):
         """|||g|||^2 of a packed state, or one per state of a stack."""
         return np.einsum("...ij,j->...", (packed**2)[..., self._k1 :], self._g_weights)
+
+
+def probe_cells(block):
+    """Cells of StencilStepper's probe mesh at a packed width block: the least 2^j >= 5 block."""
+    return 1 << ((2 * StencilStepper.REACH + 1) * block - 1).bit_length()
 
 
 def cut_applies(config):

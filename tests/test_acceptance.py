@@ -617,3 +617,41 @@ def test_c12_ap_limit_rate():
         "rho_distance/eps " + ", ".join(f"{r:.4e}" for r in ratios)
         + f", worst spread {worst:.1e}; {elapsed:.1f}s",
     )
+
+
+def test_c12b_ap_limit_rate_in_h():
+    # C12's first-order constant is the discretisation's: on sin data at
+    # tmax 0.05, rho_distance is about a eps h^p + b eps^2.  b, read from
+    # eps = 1e-2 on the finest mesh, is 0.084 (telegraph) and 0.0019 (slab)
+    # at k = 1 and 2, whatever h.  The paper states no rate, so p is a
+    # measured regression bound.  Fitted over N = 64..4096 on the points clear
+    # of the eps^2 floor (b eps^2 at most 1% of rho_distance), p measured
+    # 0.991 and 0.988 at k = 0 (telegraph, slab), 2.000 at k = 1 and 3.000 at
+    # k = 2: p = k + 1 within 0.1 is pinned.  At k = 2 only N = 64 and 256 are
+    # clear: on finer meshes a eps h^3 sinks under the floor at every eps the
+    # defect's roundoff allows
+    start = time.perf_counter()
+    eps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    cells = np.array([64, 256, 1024, 4096])
+    h = np.broadcast_to(2 * np.pi / cells[:, None], (len(cells), len(eps)))
+    worst, fits = 0.0, []
+    for model, nv in (("telegraph", 2), ("slab", 8)):
+        for k in (0, 1, 2):
+            ratio = []  # rho_distance / eps, [N, eps]
+            for n in cells:
+                spec = ExperimentSpec(mode="ap-limit", model=model, nv=nv, degree=k, cells=(n,),
+                                      eps=tuple(eps), tmax=0.05)
+                ratio.append([row["rho_distance"] / row["eps"] for row in run_ap_limit(spec).rows])
+            ratio = np.array(ratio)
+            b = ratio[-1, 0] / eps[0]
+            clear = (b * eps <= 0.01 * ratio) & (eps < eps[0])
+            assert np.count_nonzero(clear.any(axis=1)) >= 2, (model, k)  # two meshes at least
+            p, log_a = np.polyfit(np.log(h[clear]), np.log(ratio[clear]), 1)
+            worst = max(worst, abs(p - (k + 1)))
+            fits.append(f"{model} k={k}: p={p:.3f} a={math.exp(log_a):.3g} b={b:.3g}")
+    elapsed = time.perf_counter() - start
+    _report(
+        "C12b rate in h of the limit's first-order constant",
+        worst <= 0.1 and elapsed < 60.0,
+        "; ".join(fits) + f"; worst |p - (k + 1)| {worst:.3f}; {elapsed:.1f}s",
+    )

@@ -201,12 +201,16 @@ def _forbid_steps(monkeypatch):
         ("stability-scan --k 0 --cells 8 --eps 1 --tmax 1e9", "over the budget"),
         # the user dt of the first level plans 1e299 steps
         ("converge --k 1 --cells 8,16,32 --eps 0.1 --dt 1e-300 --tmax 0.1", "over the budget"),
-        # solve and ap-limit take every step: every plan is held to the
-        # budget, the auto step's, a clamped dt's and a forced dt's alike
+        # solve takes every step: every plan is held to the budget, the
+        # auto step's and a clamped dt's alike
         ("solve --k 1 --cells 512 --eps 1e-6 --tmax 1", "plans 1120723 steps"),
         ("solve --cells 8 --eps 1 --tmax 1e6 --dt 5", "plans 4.323037e+07 steps"),
-        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 1e6", "over the budget"),
-        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 2e6 --dt 1 --force-dt", "plans 2000000 steps"),
+        # ap-limit powers its steps: only a step finer than every mode's
+        # default is held to it, the policy's own at a c0 near 1 and a forced
+        # small dt alike; its symbol would round to the identity
+        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 1 --c0 0.9999999999999999",
+         "plans 6.489743e+16 steps"),
+        ("ap-limit --k 0 --cells 8 --eps 1 --tmax 1 --dt 1e-300 --force-dt", "plans 1e+300 steps"),
         # step options the mode never reads: the scan probes its own steps,
         # and only ap-limit shrinks its bound by c0
         (_SCAN + " --dt 5 --force-dt --safety 0.1 --c0 0.5", "does not read --dt"),
@@ -276,6 +280,29 @@ def test_oversized_state_refused_before_any_allocation(argv, n_cells, n_bytes, m
     assert main(argv.split()) == 2
     assert capsys.readouterr().err == (
         f"mmdg: error: a packed state of {n_cells} cells takes {n_bytes} bytes, "
+        "over the budget 268435456\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, n_probe, n_bytes",
+    [
+        # a 33 KB state, but the probe is 2^j >= 5B cells of B = 4097 columns
+        ("solve --model slab --nv 4096 --k 0 --cells 1", 32768, 1074003968),
+        # the kinetic block's probe (B = 2047) fits, the joint block's (2049) does not
+        ("ap-limit --model slab --nv 2046 --k 0 --cells 1", 16384, 268566528),
+    ],
+    ids=["solve", "ap-limit-joint"],
+)
+def test_oversized_probe_refused_before_the_velocity_space(argv, n_probe, n_bytes, monkeypatch,
+                                                           capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a velocity space before refusing")
+
+    monkeypatch.setattr("mmdg.velocity.make_velocity_space", refuse)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == (
+        f"mmdg: error: the stencil probe of {n_probe} cells takes {n_bytes} bytes, "
         "over the budget 268435456\n"
     )
 
@@ -436,6 +463,33 @@ def test_unstable_ap_limit_flags_its_nan_rows(tmp_path, capsys):
         assert fh.read().splitlines()[2:] == ["1,2000,nan,nan", "0,2000,nan,nan"]
     assert main(argv[:-3] + ["--tmax", "1"]) == 0  # at the stable step: no flag
     assert capsys.readouterr().err == ""
+
+
+def test_unstable_converge_flags_its_non_finite_rows(tmp_path, capsys):
+    # a forced step far beyond the stable one overflows the first level: its
+    # row is flagged diverged, with no order, the run is flagged on stderr
+    # with no numpy warning, and it exits 0 as ap-limit's flagged runs do
+    out = str(tmp_path / "conv.csv")
+    argv = "converge --k 1 --cells 8,16,32 --eps 1 --tmax 100 --dt 0.5 --force-dt".split()
+    assert main(argv + ["--out", out]) == 0
+    assert capsys.readouterr().err == "instability flagged\n"
+    with open(out) as fh:
+        rows = [row.split(",") for row in fh.read().splitlines()[2:]]
+    assert rows[0] == ["1", "8", "0.5", "inf", "nan", "inf", "nan", "diverged"]
+    assert [row[-1] for row in rows[1:]] == ["", ""]
+    assert all(math.isfinite(float(row[3])) for row in rows[1:])
+
+
+def test_reference_ap_limit_spec_runs(tmp_path):
+    # the wide reference spec plans 28 012 563 steps at its default step;
+    # powered, that is not over the step budget
+    out = str(tmp_path / "ap.csv")
+    argv = "ap-limit --model slab --nv 32 --k 2 --cells 4096 --eps 1e-2,1e-4,1e-6,0 --tmax 0.1"
+    assert main(argv.split() + ["--out", out]) == 0
+    with open(out) as fh:
+        rows = [row.split(",") for row in fh.read().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["28012563"] * 4
+    assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
 
 
 def test_converge_forced_dt(tmp_path):
@@ -721,9 +775,14 @@ def test_converge_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     assert rows[0] == rows[1]
 
 
-# wide blocks (B = 99): the stencil march wrote other rows for this argv at one
-# BLAS thread than at two; the spectral march's per-step product uses no BLAS
-BLAS_ARGV = "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002"
+# wide blocks (B = 99): the stencil march wrote other rows for these argvs at
+# one BLAS thread than at two; the spectral march's per-step product uses no
+# BLAS, and since the stencil keeps only its reached offsets neither does the
+# symbol's product move a byte on the alternating fluxes at 1024 cells
+BLAS_ARGVS = (
+    "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002",
+    "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005",
+)
 
 _CLI_RUN = "import sys; from mmdg.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -741,13 +800,15 @@ def _run_at_blas_threads(argv, out, threads):
 
 
 def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    outputs = []
-    for threads in ("1", None):  # one BLAS thread, then the library's default
-        out = str(tmp_path / f"threads-{threads}.csv")
-        _run_at_blas_threads(BLAS_ARGV, out, threads)
-        with open(out, "rb") as fh, open(out + ".state.csv", "rb") as state:
-            outputs.append((fh.read().split(b"\n", 1)[1], state.read()))  # the header echoes out=
-    assert outputs[0] == outputs[1]
+    for argv in BLAS_ARGVS:
+        outputs = []
+        for threads in ("1", None):  # one BLAS thread, then the library's default
+            out = str(tmp_path / f"threads-{threads}.csv")
+            _run_at_blas_threads(argv, out, threads)
+            with open(out, "rb") as fh, open(out + ".state.csv", "rb") as state:
+                # the header echoes out=
+                outputs.append((fh.read().split(b"\n", 1)[1], state.read()))
+        assert outputs[0] == outputs[1], argv
 
 
 # the README example and the benchmark's argv at seed 1: the joint symbol is a

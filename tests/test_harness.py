@@ -141,9 +141,12 @@ def test_steps_for_plans(tmax, dt, kwargs, plan):
 
 
 def test_step_budget_holds_every_solve_and_ap_limit_plan(monkeypatch):
-    # solve and ap-limit take every step, so every plan is held to the budget,
-    # whatever its dt: the auto step, a clamped dt, a small dt or a forced
-    # one; each is refused before the first step
+    # solve takes every step, so every plan is held to the budget, whatever
+    # its dt: the auto step, a clamped dt, a small dt or a forced one.
+    # ap-limit powers its steps, so only a plan finer than every mode's
+    # default step is: a small dt, forced or not, or the policy's own step at
+    # a smaller safety or a larger c0.  Each is refused before the first
+    # step; ap-limit's other plans pass and reach the stencil build
     def refuse(*args, **kwargs):
         raise AssertionError("stepped before refusing")
 
@@ -152,30 +155,46 @@ def test_step_budget_holds_every_solve_and_ap_limit_plan(monkeypatch):
     monkeypatch.setattr(scheme, "step", refuse)
     spec = ExperimentSpec(mode="solve", degree=0, cells=(16,), eps=(1.0,))
     config = build_config(spec, 16, 1.0, dt=1.0)
-    bound = 0.9 * scheme.stable_dt(config)  # ap-limit's bound, at eps = 0, is smaller
-    plans = [(None, False), (10 * bound, False), (bound / 2, False), (10 * bound, True)]
+    bound = 0.9 * scheme.stable_dt(config)
+    # ap-limit's bound, at eps = 0 and shrunk by c0, is smaller: the finest default step
+    finest = 0.9 * 0.95 * scheme.stable_dt(replace(config, eps=0.0))
+    tmax = 20 * MAX_STEPS * bound
+    refused = {
+        "solve": [{}, {"dt": 10 * bound}, {"dt": bound / 2}, {"dt": 10 * bound, "force_dt": True}],
+        "ap-limit": [{"dt": finest / 2}, {"dt": finest / 2, "force_dt": True},
+                     {"safety": 0.5}, {"c0": 0.5}],
+    }
+    planned = [{}, {"dt": 10 * finest}, {"dt": finest}, {"dt": 10 * finest, "force_dt": True}]
     for mode, run_mode in (("solve", run_solve), ("ap-limit", run_ap_limit)):
-        for dt, force_dt in plans:
-            spec = ExperimentSpec(mode=mode, degree=0, cells=(16,), eps=(1.0,), dt=dt,
-                                  force_dt=force_dt, tmax=20 * MAX_STEPS * bound)
+        for options in refused[mode]:
+            spec = ExperimentSpec(mode=mode, degree=0, cells=(16,), eps=(1.0,), tmax=tmax,
+                                  **options)
             with pytest.raises(ValueError, match="over the budget 1000000"):
                 run_mode(spec)
         # a subnormal dt overflows the planned count to inf and is refused too
-        spec.tmax, spec.dt = 1.0, 1e-310
+        spec = ExperimentSpec(mode=mode, degree=0, cells=(16,), eps=(1.0,), dt=1e-310)
         with pytest.raises(ValueError, match="plans inf steps"):
             run_mode(spec)
+    for options in planned:
+        spec = ExperimentSpec(mode="ap-limit", degree=0, cells=(16,), eps=(1.0,), tmax=tmax,
+                              **options)
+        with pytest.raises(AssertionError, match="stepped before refusing"):
+            run_ap_limit(spec)
 
 
 def test_step_budget_holds_a_fine_first_converge_step():
-    # converge powers its steps: only a first step finer than the default
-    # policy's is held to the budget, and resolve_dt itself refuses none
+    # converge powers its steps: only a first step finer than every mode's
+    # default, 0.9 * (1 - 0.05) * dt_stab, is held to the budget, and
+    # resolve_dt itself refuses none
     spec = ExperimentSpec(mode="converge", degree=0, cells=(16, 32, 64), eps=(1.0,))
     config = build_config(spec, 16, 1.0, dt=1.0)
     bound = 0.9 * scheme.stable_dt(config)
     spec.tmax = 10 * MAX_STEPS * bound
     assert resolve_dt(spec, config) == (bound, False)
     assert harness._convergence_levels(spec, 1.0, spec.cells)[0][0][1] > MAX_STEPS
-    spec.dt = bound / 2
+    spec.safety = 0.86  # below the default safety, but not finer than ap-limit's default
+    assert harness._convergence_levels(spec, 1.0, spec.cells)[0][0][1] > MAX_STEPS
+    spec.dt, spec.safety = bound / 2, 0.9
     assert resolve_dt(spec, config) == (bound / 2, False)
     with pytest.raises(ValueError, match="over the budget 1000000"):
         harness._convergence_levels(spec, 1.0, spec.cells)

@@ -290,6 +290,18 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         load_state(path)
 
 
+def test_checkpoint_rejects_a_coefficient_assigned_twice(tmp_path):
+    # the right row count, but one row repeats another's coefficient, so one
+    # coefficient is never assigned
+    config = _config(space=SLAB, k=1, n=8)
+    path = tmp_path / "state.csv"
+    save_state(_well_prepared(config), config, path, 0, 1.0)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1] + lines[-2:-1]))
+    with pytest.raises(ValueError, match="144 coefficient rows do not assign each of its 144 "):
+        load_state(path)
+
+
 # cells of every type a table row may hold; -0.0, nan, +-inf and ints past
 # 2^53 included, and the numpy scalars that indexing an array gives
 _NUMBER_CELLS = {
