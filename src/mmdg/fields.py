@@ -35,9 +35,6 @@ class Mesh1D:
     def h(self):
         return (self.x_max - self.x_min) / self.n_cells
 
-    def edges(self):
-        return np.linspace(self.x_min, self.x_max, self.n_cells + 1)
-
     def centers(self):
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.h
 

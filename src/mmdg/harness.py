@@ -522,7 +522,8 @@ def run_ap_limit(spec):
     the limit analysis asks for.  At eps = 0 telegraph matches the limit bit
     for bit, slab at roundoff (its <v g> sums w_q v_q^2 where the limit has
     m2).  A non-finite distance, from a forced step beyond the stable one,
-    flags the run as diverged.
+    flags the run as diverged.  A kinetic run that decayed to exactly 0 by tmax
+    measures nothing and is refused, as in converge.
     """
     spec.validate()
     if len(spec.cells) != 1:
@@ -540,7 +541,11 @@ def run_ap_limit(spec):
     with np.errstate(over="ignore", invalid="ignore"):
         for kinetic in kinetic_configs:
             stepper = StencilStepper(config, _joint_step(kinetic, m2), packed.shape[1])
-            d_rho, d_q = _defect(stepper.propagate(packed, n_steps), config)
+            final = stepper.propagate(packed, n_steps)
+            if not final[:, : -2 * config.degree - 2].any():
+                raise ValueError(f"tmax={spec.tmax:.6g} is too large: the solutions decay to 0, "
+                                 f"so the distances measure nothing at eps={kinetic.eps:.6g}")
+            d_rho, d_q = _defect(final, config)
             rows.append(
                 {
                     "eps": kinetic.eps,

@@ -172,7 +172,8 @@ def write_table(path, header, columns, rows):
 
 def save_state(state, config, path, n, g_norm_lag):
     """Checkpoint of the state at step n: header with run metadata, t = n dt and
-    |||g^{n-1}|||, then one row per coefficient."""
+    |||g^{n-1}|||, then one coefficient per row, the (1 + nv, N, k + 1) stack of
+    rho and g's nodes in C order."""
     mesh, space = config.mesh, config.space
     meta = dict(
         n=n, t=n * config.dt, eps=config.eps, dt=config.dt, degree=config.degree,
@@ -180,15 +181,8 @@ def save_state(state, config, path, n, g_norm_lag):
         model=space.kind, nv=space.n_nodes, include_bh=int(config.include_bh),
         continuum_moments=int(config.continuum_moments), g_norm_lag=g_norm_lag,
     )
-    edges = mesh.edges()
-    parts = [("rho", -1, state.rho.coeff)] + [("g", q, c) for q, c in enumerate(state.g.coeff)]
-    rows = (
-        (name, q, i, edges[i], j, coeff[i, j])
-        for name, q, coeff in parts
-        for i in range(mesh.n_cells)
-        for j in range(config.degree + 1)
-    )
-    write_table(path, meta, ["field", "node", "cell", "x_left", "mode", "coefficient"], rows)
+    coeff = np.concatenate([state.rho.coeff.ravel(), state.g.coeff.ravel()])
+    write_table(path, meta, ["coefficient"], zip(coeff.tolist()))
 
 
 def load_state(path):
@@ -208,16 +202,16 @@ def load_state(path):
             include_bh=bool(int(meta["include_bh"])),
             continuum_moments=bool(int(meta["continuum_moments"])),
         )
-        # node -1 is rho; columns node, cell, mode, coefficient, after the column names
-        node, cell, mode, values = np.loadtxt(fh, delimiter=",", skiprows=1,
-                                              usecols=(1, 2, 4, 5), ndmin=2).T
+        columns = fh.readline().strip()
+        if columns != "coefficient":
+            raise ValueError(f"checkpoint {path}: its columns are {columns!r}, not the one "
+                             "column 'coefficient'")
+        values = np.loadtxt(fh, ndmin=1)
     shape = (1 + space.n_nodes, mesh.n_cells, config.degree + 1)
-    index = np.ravel_multi_index(np.array([node + 1, cell, mode], dtype=int), shape)
-    coeff = np.zeros(shape)
-    coeff.flat[index] = values
-    if len(index) != coeff.size or len(np.unique(index)) != coeff.size:
-        raise ValueError(f"checkpoint {path}: its {len(index)} coefficient rows do not "
-                         f"assign each of its {coeff.size} coefficients once")
+    if values.size != math.prod(shape):
+        raise ValueError(f"checkpoint {path}: {values.size} coefficient rows for its "
+                         f"{math.prod(shape)} coefficients")
+    coeff = values.reshape(shape)
     rho = DGField(mesh, config.degree, coeff[0])
     g = KineticField(space, mesh, config.degree, coeff[1:])
     return State(rho=rho, g=g), config, int(meta["n"]), float(meta["g_norm_lag"])

@@ -31,7 +31,7 @@ def project_in_mode(f, mesh, degree, mode):
     if mode not in (RADAU_MINUS, RADAU_PLUS):
         raise ValueError(f"unknown projection mode {mode!r}")
     basis = legendre_basis(degree)
-    edges = mesh.edges()
+    edges = np.linspace(mesh.x_min, mesh.x_max, mesh.n_cells + 1)
     if mode == RADAU_MINUS:
         endpoint_row, endpoint_x = basis.at_right, edges[1:]
     else:

@@ -120,3 +120,19 @@ def test_tracer_reads_the_checkpoint_path(tmp_path):
     # bench/tracer.py sizes the file at scheme.save_state's positional argument 2
     traced, size = json.loads(_run_with_bench(TRACE_CHECKPOINT, tmp_path).splitlines()[-1])
     assert traced == size > 0
+
+
+def test_every_workload_output_passes_the_bench_checks(monkeypatch, tmp_path):
+    # the benchmark marks a run outputs_incorrect when bench/checks.py finds a
+    # problem in what it wrote; a format change should fail here first
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    from checks import OUT_NAME, check_output
+    from workloads import WORKLOADS
+
+    problems = {}
+    for name, workload in WORKLOADS.items():
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        assert main(workload.argv(1, str(out_dir / OUT_NAME))) == 0, name
+        problems[name] = check_output(str(out_dir), workload)
+    assert problems == {name: [] for name in WORKLOADS}

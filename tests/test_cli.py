@@ -347,6 +347,29 @@ def test_converge_refuses_rows_that_measure_nothing(eps, tmax, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tmax", ["1e6", "1e300"])
+def test_ap_limit_refuses_rows_that_measure_nothing(tmax, tmp_path, capsys):
+    # the kinetic run decays to exactly 0 by tmax, so both distances read 0;
+    # the refusal comes before any row (or a 301-digit steps cell) is written
+    out = tmp_path / "ap.csv"
+    argv = ["ap-limit", "--k", "0", "--cells", "8", "--eps", "1,0", "--tmax", tmax]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mmdg: error: tmax={float(tmax):.6g} is too large: the solutions decay to 0, "
+        "so the distances measure nothing at eps=1\n"
+    )
+    assert not out.exists()
+
+
+def test_ap_limit_keeps_an_exact_zero_distance(tmp_path):
+    # telegraph at eps = 0 matches the limit bit for bit: a zero distance from
+    # a kinetic state that has not decayed is a measurement
+    out = tmp_path / "ap.csv"
+    argv = "ap-limit --k 0 --cells 8 --eps 0 --tmax 0.01".split()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["eps,steps,rho_distance,q_distance", "0,1,0,0"]
+
+
 @pytest.mark.parametrize("eps", ["1e-2", "1e-8", "0"])
 def test_converge_keeps_small_nonzero_errors(eps, tmp_path):
     # at tmax 300 the errors are tiny but nonzero; err_g is 0 at eps = 0 only
@@ -611,13 +634,13 @@ TINY_STATE = (
     "# n=1;t=0.01;eps=0.5;dt=0.01;degree=0;n_cells=2;x_min=0;x_max=6.2831853071795862;"
     "flux=alt-lr;model=discrete-two-point;nv=2;include_bh=1;continuum_moments=0;"
     "g_norm_lag=2.7829164246717666e-16\n"
-    "field,node,cell,x_left,mode,coefficient\n"
-    "rho,-1,0,0,0,0.61619050847955759\n"
-    "rho,-1,1,3.1415926535897931,0,-0.61619050847955759\n"
-    "g,0,0,0,0,-0.015087656201666055\n"
-    "g,0,1,3.1415926535897931,0,0.015087656201666055\n"
-    "g,1,0,0,0,0.015087656201666055\n"
-    "g,1,1,3.1415926535897931,0,-0.015087656201666055\n"
+    "coefficient\n"
+    "0.61619050847955759\n"
+    "-0.61619050847955759\n"
+    "-0.015087656201666055\n"
+    "0.015087656201666055\n"
+    "0.015087656201666055\n"
+    "-0.015087656201666055\n"
 )
 
 
@@ -648,7 +671,7 @@ def test_every_output_line_ends_in_one_newline(mode, suffix, tmp_path):
 
 
 def test_checkpoint_with_crlf_rows_still_loads(tmp_path):
-    # checkpoints written before every line ended in \n end their rows in \r\n
+    # a checkpoint whose rows end in \r\n, as they did before every line ended in \n
     first, rest = TINY_STATE.split("\n", 1)
     paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     paths[0].write_bytes(TINY_STATE.encode())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dg_tools import eval_from_right, write_table_by_cell
 from mmdg import scheme
-from mmdg.fields import DGField, Mesh1D
+from mmdg.fields import DGField, KineticField, Mesh1D
 from mmdg.limit import init_limit_state, step_limit
 from mmdg.operators import ALT_LR, CENTRAL, FLUXES
 from mmdg.scheme import (
@@ -290,16 +290,55 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         load_state(path)
 
 
-def test_checkpoint_rejects_a_coefficient_assigned_twice(tmp_path):
-    # the right row count, but one row repeats another's coefficient, so one
-    # coefficient is never assigned
+def test_checkpoint_rejects_an_extra_row(tmp_path):
     config = _config(space=SLAB, k=1, n=8)
     path = tmp_path / "state.csv"
     save_state(_well_prepared(config), config, path, 0, 1.0)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1] + lines[-2:-1]))
-    with pytest.raises(ValueError, match="144 coefficient rows do not assign each of its 144 "):
+    with open(path, "a") as fh:
+        fh.write("0.5\n")
+    with pytest.raises(ValueError, match="145 coefficient rows for its 144 coefficients"):
         load_state(path)
+
+
+def test_checkpoint_refuses_the_six_column_format(tmp_path):
+    # rows that carried (field, node, cell, x_left, mode) beside the coefficient
+    config = _config(k=0, n=2)
+    path = tmp_path / "state.csv"
+    save_state(_well_prepared(config), config, path, 0, 1.0)
+    header = path.read_text().splitlines(keepends=True)[0]
+    path.write_text(header + "field,node,cell,x_left,mode,coefficient\nrho,-1,0,0,0,0.5\n")
+    with pytest.raises(ValueError, match="columns are 'field,node,cell,x_left,mode,coefficient'"):
+        load_state(path)
+
+
+@pytest.mark.parametrize(
+    "model, k, n_cells",
+    [(model, k, n) for model in ("telegraph", "slab") for k in range(5) for n in (1, 64)]
+    + [("slab", 2, 4096)],
+)
+def test_checkpoint_roundtrip_is_bit_for_bit(model, k, n_cells, tmp_path):
+    # every coefficient and every config field come back with their bits;
+    # -0, a subnormal and the largest float among the coefficients
+    space = {"telegraph": TELEGRAPH, "slab": SLAB}[model]
+    rng = np.random.default_rng(100 * k + n_cells + space.n_nodes)
+    mesh = Mesh1D(-rng.uniform(), rng.uniform(1, 9), n_cells)
+    config = SchemeConfig(
+        eps=rng.uniform(0, 2), dt=rng.uniform(1e-5, 1e-2), degree=k, flux=FLUXES[k % 3],
+        space=space, mesh=mesh, include_bh=k % 2 == 0, continuum_moments=n_cells > 1,
+    )
+    shape = (1 + space.n_nodes, n_cells, k + 1)
+    coeff = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    coeff.flat[:3] = -0.0, 5e-324, np.finfo(float).max
+    state = scheme.State(DGField(mesh, k, coeff[0]), KineticField(space, mesh, k, coeff[1:]))
+    lag = rng.uniform()
+    save_state(state, config, tmp_path / "state.csv", 7, lag)
+    loaded, loaded_config, n, loaded_lag = load_state(tmp_path / "state.csv")
+    assert (n, loaded_lag) == (7, lag)
+    assert np.concatenate([loaded.rho.coeff[None], loaded.g.coeff]).tobytes() == coeff.tobytes()
+    assert dataclasses.replace(loaded_config, space=space) == config
+    assert loaded_config.space.kind == space.kind
+    assert loaded_config.space.nodes.tobytes() == space.nodes.tobytes()
+    assert loaded_config.space.weights.tobytes() == space.weights.tobytes()
 
 
 # cells of every type a table row may hold; -0.0, nan, +-inf and ints past
@@ -356,7 +395,7 @@ def test_write_table_matches_the_cell_by_cell_writer(tmp_path, table):
 
 
 def test_checkpoint_bytes_match_the_cell_by_cell_writer(tmp_path, monkeypatch):
-    # checkpoint rows mix str, int and numpy float cells
+    # checkpoint rows are 1-tuples of Python floats
     config = _config(space=SLAB, eps=0.05, dt=3e-4, k=2, n=5)
     prev = _well_prepared(config)
     state, lag = step(prev, config), prev.g.triple_norm()
