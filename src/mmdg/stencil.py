@@ -3,7 +3,7 @@ array per state: per cell, the k + 1 modes of rho, then those of g at each veloc
 node in turn.  StencilStepper compiles scheme.step on it (or ap-limit's joint step on a
 wider block), and run_fixed_steps is one propagate; LiveSpectrum marches its Fourier
 symbol on the frequencies a state holds, for solve and for energy_history wherever the
-cut drops one."""
+cut drops one, and certified tells whether the step provably keeps the energy from rising."""
 
 import math
 from dataclasses import replace
@@ -16,6 +16,8 @@ from .basis import mass_diagonal
 from .fields import DGField, KineticField, Mesh1D
 
 LIVE_TOL = 1e-15  # the live cut's roundoff floor, relative to the largest spectral coefficient
+CERT_TOL = 1e-10  # the energy certificate's allowance for roundoff, amplified by the 1/eps weights
+CERT_BYTES = 2**16  # bytes of the symbols the certificate holds at once, which bound its memory
 
 
 def pack_state(state):
@@ -103,6 +105,50 @@ class StencilStepper:
         phase = np.exp(-2j * np.pi * np.outer(freqs, self._offsets) / n)
         return np.tensordot(phase, self._mblocks, axes=1)
 
+    def lagged_energy_map(self, freqs=None):
+        """Per frequency in freqs (default 0..N//2), scheme.step's lagged map in the
+        energy's norm: S P, where S is L: (rho^n, g^{n-1}) -> (rho^{n+1}, g^n) in the
+        variables scaled by the energy's weights and P = I - M M^T projects g onto its
+        mean-free part (M's column j: the scaled unit velocity mean of g's mode j).
+
+        E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 pairs rho^n with g^{n-1}, so the
+        energy of mean-free data never rises where every S P has 2-norm <= 1.
+        From the symbol G (rho modes first, then g node by node), with G_rr = I
+        and H = G_gg - G_gr G_rg, L = [[I + G_rg G_gr, G_rg H], [G_gr, H]].
+        The weights hold eps, so this needs eps > 0.
+        """
+        config, k1 = self.config, self._k1
+        scale = np.concatenate([np.sqrt(self._mass), config.eps * np.sqrt(self._g_weights)])
+        # scaled symbol D G D^-1: L's products of G's blocks scale with it
+        symbol = scale[:, None] * self.symbol(freqs) / scale
+        g_rho, rho_g = symbol[:, k1:, :k1], symbol[:, :k1, k1:]
+        h_map = symbol[:, k1:, k1:] - g_rho @ rho_g
+        lagged = np.concatenate([np.eye(k1) + rho_g @ g_rho, rho_g @ h_map], axis=2)
+        lagged = np.concatenate([lagged, np.concatenate([g_rho, h_map], axis=2)], axis=1)
+        means = np.zeros((self.block, k1))
+        means[k1:] = (np.sqrt(config.space.weights)[:, None, None] * np.eye(k1)).reshape(-1, k1)
+        return lagged - lagged @ means @ means.T
+
+    @cached_property
+    def certified(self):
+        """Whether every frequency's lagged_energy_map has 2-norm <= 1 + CERT_TOL:
+        one batched Cholesky of (1 + CERT_TOL)^2 I - (S P)^H (S P) per block of
+        frequencies whose symbols fill CERT_BYTES, from the Nyquist end, where a
+        step too large tends to fail first.
+        Refused at eps = 0 and where there is no dt_stab (slab without b_h)."""
+        config = self.config
+        if not config.eps > 0.0 or math.isnan(_dt_stab(config)):
+            return False
+        per_block = max(1, CERT_BYTES // (16 * self.block**2))
+        bound = (1.0 + CERT_TOL) ** 2 * np.eye(self.block)
+        for stop in range(config.mesh.n_cells // 2 + 1, 0, -per_block):
+            lagged = self.lagged_energy_map(np.arange(max(0, stop - per_block), stop))
+            try:
+                np.linalg.cholesky(bound - np.swapaxes(lagged.conj(), 1, 2) @ lagged)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
     def propagate(self, packed, n_steps):
         """Apply the step map n_steps times via its Fourier diagonalization.
 
@@ -137,33 +183,41 @@ def probe_cells(block):
     return 1 << ((2 * StencilStepper.REACH + 1) * block - 1).bit_length()
 
 
-def cut_applies(config):
-    """Whether the live cut may drop frequencies: only at dt <= dt_stab."""
-    try:  # slab without b_h has no dt_stab
-        return config.dt <= scheme.stable_dt(config)
+def _dt_stab(config):
+    """scheme.stable_dt, or NaN where there is none (slab without b_h)."""
+    try:
+        return scheme.stable_dt(config)
     except ValueError:
-        return False
+        return math.nan
+
+
+def cut_applies(config):
+    """Whether the live cut may drop frequencies in every run: only at dt <= dt_stab."""
+    return config.dt <= _dt_stab(config)
 
 
 class LiveSpectrum:
     """A packed state's rfft along the cells, kept only at its live frequencies.
 
     Live are the frequencies whose largest coefficient exceeds LIVE_TOL times
-    the spectrum's largest.  The cut needs dt <= dt_stab, where the energy
-    theorem keeps the dropped roundoff from growing; otherwise, with no
-    dt_stab, or with a NaN in the data, every frequency is live.  A state here
-    is a (live, block) spectrum; the dropped frequencies are exact zeros.
-    Norms follow by Parseval: a column's sum of squares over the cells is
-    sum_j weights_j |X_j|^2, with weight 1/N at j = 0 and at the Nyquist
-    frequency and 2/N elsewhere.
+    the spectrum's largest.  The cut needs a step that keeps the dropped
+    roundoff from growing.  By default it is the stepper's cut, made only at
+    dt <= dt_stab, where the energy theorem holds; cut=True cuts at any dt,
+    and energy_history marches such a spectrum above dt_stab only where
+    StencilStepper.certified holds.  Without a cut, or with a NaN in the
+    data, every frequency is live.  A state here is a (live, block) spectrum; the
+    dropped frequencies are exact zeros.  Norms follow by Parseval: a column's
+    sum of squares over the cells is sum_j weights_j |X_j|^2, with weight 1/N
+    at j = 0 and at the Nyquist frequency and 2/N elsewhere.
     """
 
-    def __init__(self, stepper, packed):
+    def __init__(self, stepper, packed, cut=None):
         config = self.config = stepper.config
         self.stepper = stepper
         spectrum = np.fft.rfft(packed, axis=0)
         size = np.abs(spectrum).max(axis=1)
-        dead = stepper.cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
+        cut = stepper.cut if cut is None else cut
+        dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         self.freqs = np.flatnonzero(~dead)
         self.start = spectrum[self.freqs]
         n = config.mesh.n_cells
@@ -296,20 +350,27 @@ def _stencil_march(stepper, packed, n_steps, stop_factor=None):
     return _march(stepper.apply, norms_sq, packed, n_steps, eps_sq, stop_factor)
 
 
+CERT_STEPS = 16  # steps per packed column from which a probe repays the certificate
+
+
 def energy_history(config, state, n_steps, stop_factor=None):
     """Energies E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 for n = 0..n_steps.
 
     E_0 pairs the initial density with the initial g (full starting energy).
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
-    The live spectrum is built only where the cut applies, at dt <= dt_stab.
-    Where it drops a frequency (data that leave one empty) the march steps
-    it, one small matvec per live frequency; elsewhere, above dt_stab without
-    an rfft, it steps StencilStepper.apply, which then costs less.
+    The march steps the live spectrum, one small matvec per live frequency,
+    where the cut drops a frequency and may: at dt <= dt_stab, or above it on
+    a probe of n_steps >= CERT_STEPS * block whose step is certified (see
+    StencilStepper.certified).  Everywhere else it steps StencilStepper.apply.
+    The rfft is taken only at dt <= dt_stab and on such long probes.
     """
     stepper, packed = StencilStepper(config), pack_state(state)
-    live = LiveSpectrum(stepper, packed) if stepper.cut else None
-    if live and live.freqs.size < config.mesh.n_cells // 2 + 1:
+    live = None
+    if stepper.cut or n_steps >= CERT_STEPS * stepper.block:
+        live = LiveSpectrum(stepper, packed, cut=True)
+    drops = live and live.freqs.size < config.mesh.n_cells // 2 + 1
+    if drops and (stepper.cut or stepper.certified):
         march = live.march(n_steps, stop_factor)
     else:
         march = _stencil_march(stepper, packed, n_steps, stop_factor)

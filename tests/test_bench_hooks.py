@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 
-from mmdg import harness
+from mmdg import harness, scheme, stencil
 from mmdg.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,15 +92,38 @@ def test_bench_counters_count_driver_work(monkeypatch):
 
     for attr in ("run_fixed_steps", "energy_history"):
         monkeypatch.setattr(harness, attr, getattr(harness, attr))  # restored after
+    # the spectral marches above dt_stab are the certified ones
+    certified, march = [], stencil.LiveSpectrum.march
+
+    def recorded_march(self, *args):
+        certified.append(self.config.dt > scheme.stable_dt(self.config))
+        return march(self, *args)
+
+    monkeypatch.setattr(stencil.LiveSpectrum, "march", recorded_march)
     counts = {"cell_steps_advanced": 0, "cell_steps_probed": 0}
     _install_counters(harness, counts)
+    # bench/worker.py and bench/tracer.py read energy_history's config, state
+    # and n_steps as positional arguments 0..2, and its result as (energies, ok)
+    probes, counted = [], harness.energy_history
+
+    def recorded(*args, **kw):
+        out = counted(*args, **kw)
+        probes.append((args, out))
+        return out
+
+    harness.energy_history = recorded
     assert main("stability-scan --k 0 --cells 8 --eps 1 --tmax 0.05".split()) == 0
+    scan = "stability-scan --model slab --nv 8 --k 1 --cells 128 --eps 1e-2 --tmax 0.05"
+    assert main(scan.split()) == 0
     assert main("converge --k 1 --cells 4,8,16 --eps 0.5 --tmax 0.01".split()) == 0
     spec = harness.ExperimentSpec(mode="converge", cells=(4, 8, 16), eps=(0.5,), tmax=0.01)
     levels, reference = harness._convergence_levels(spec, 0.5, [4, 8, 16])
     runs = levels + [reference]
     assert counts["cell_steps_advanced"] == sum(c.mesh.n_cells * n for c, n in runs)
-    assert counts["cell_steps_probed"] > 0
+    assert any(certified)
+    assert all(len(args) >= 3 and type(out) is tuple and len(out) == 2 for args, out in probes)
+    probed = sum(args[0].mesh.n_cells * (len(out[0]) - 1) for args, out in probes)
+    assert counts["cell_steps_probed"] == probed > 0
 
 
 TRACE_CHECKPOINT = """

@@ -604,7 +604,8 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
     monkeypatch, data, factor, steps_apply
 ):
     # sin holds one frequency, which the cut keeps alone at dt <= dt_stab;
-    # noise holds all of them, and above dt_stab nothing is cut
+    # noise holds all of them, and above dt_stab a probe shorter than the
+    # certificate's gate is not cut
     calls = {"apply": 0, "symbol": 0}
     for name in calls:
 
@@ -617,6 +618,7 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
     config = build_config(spec, 32, 1e-2, dt=1.0)
     config = replace(config, dt=factor * scheme.stable_dt(config))
     state = unpack_state(_probe_packed(config, data), config)
+    assert harness.MIN_PROBE_STEPS < stencil.CERT_STEPS * StencilStepper(config).block
     energies, _ = energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
     # the symbol is built only for the march that steps the live spectrum
     assert calls == ({"apply": len(energies) - 1, "symbol": 0} if steps_apply
@@ -638,8 +640,9 @@ def test_energy_history_steps_apply_only_where_every_frequency_is_live(
 def test_energy_history_takes_an_rfft_only_where_the_cut_applies(
     monkeypatch, data, factor, include_bh, rffts
 ):
-    # above dt_stab, or on the slab without b_h, which has no dt_stab, the cut
-    # cannot drop a frequency, so the probe steps apply without a spectrum
+    # above dt_stab, or on the slab without b_h, which has no dt_stab, a probe
+    # shorter than the certificate's gate cannot cut a frequency, so it steps
+    # apply without a spectrum
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
@@ -649,8 +652,55 @@ def test_energy_history_takes_an_rfft_only_where_the_cut_applies(
     if factor is not None:
         config = replace(config, dt=factor * scheme.stable_dt(config))
     state = unpack_state(_probe_packed(config, data), config)
+    assert harness.MIN_PROBE_STEPS < stencil.CERT_STEPS * StencilStepper(config).block
     energy_history(config, state, harness.MIN_PROBE_STEPS, GROWTH_LIMIT)
     assert len(calls) == rffts
+
+
+@pytest.mark.parametrize(
+    "eps, factor, extra_steps, certified, path",
+    [
+        (1e-2, 2.0, 0, True, "spectrum"),
+        (1e-2, 5.0, 0, False, "apply"),
+        (0.0, 2.0, 0, False, "apply"),
+        (1e-2, 2.0, -1, True, "short"),
+    ],
+    ids=["certified", "above-the-certified-step", "eps-0", "shorter-than-the-gate"],
+)
+def test_energy_history_marches_the_spectrum_on_long_certified_probes(
+    monkeypatch, eps, factor, extra_steps, certified, path
+):
+    # Above dt_stab a probe of at least CERT_STEPS * block steps cuts the
+    # spectrum where StencilStepper.certified holds: the sweep case's eps = 0.01
+    # at N = 128 is certified at 2 dt_stab, not at 5 (dt_energy is about
+    # 4.56 dt_stab there), and never at eps = 0.  Whatever the path, the
+    # probe matches the apply march: same length and verdict, energies
+    # within 1e-13 E_0.
+    calls = {"apply": 0, "rfft": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return function(*args, **kw)
+
+        return wrapper
+
+    spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=1, cells=(128,), eps=(eps,))
+    config = build_config(spec, 128, eps, dt=1.0)
+    config = replace(config, dt=factor * scheme.stable_dt(config))
+    stepper = StencilStepper(config)
+    assert stepper.certified == certified
+    n_steps = stencil.CERT_STEPS * stepper.block + extra_steps
+    packed = _initial_packed(config)
+    ref, ref_ok = _stencil_energies(config, packed, n_steps, GROWTH_LIMIT)
+    monkeypatch.setattr(StencilStepper, "apply", counted("apply", StencilStepper.apply))
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    energies, ok = energy_history(config, unpack_state(packed, config), n_steps, GROWTH_LIMIT)
+    steps = len(energies) - 1
+    assert calls == {"spectrum": {"apply": 0, "rfft": 1}, "apply": {"apply": steps, "rfft": 1},
+                     "short": {"apply": steps, "rfft": 0}}[path]
+    assert ok == ref_ok and len(energies) == len(ref)
+    assert np.max(np.abs(energies - ref)) <= 1e-13 * ref[0]
 
 
 @settings(max_examples=40, deadline=None, database=None)
