@@ -21,14 +21,13 @@ from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
 from .stencil import LiveSpectrum, StencilStepper, cut_applies, energy_history, pack_state
-from .stencil import probe_cells, run_fixed_steps, unpack_state
+from .stencil import check_bytes, probe_cells, run_fixed_steps, unpack_state
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
 
 GROWTH_LIMIT = 10.0  # instability criterion: energy beyond this multiple of E_0
 MAX_STEPS = 10**6  # step budget of a marched run, and of a powered one at a fine step
-MAX_STATE_BYTES = 2**28  # size budget of one packed state or all-live symbol, 256 MiB
 
 # Periodic domain of every experiment; the sin and bump data and converge's
 # exact heat solution are periodic on it.
@@ -140,12 +139,6 @@ class ExperimentSpec:
         return self
 
 
-def _check_bytes(n_bytes, what):
-    """Refuse what, an array of n_bytes bytes, over MAX_STATE_BYTES."""
-    if n_bytes > MAX_STATE_BYTES:
-        raise ValueError(f"{what} takes {n_bytes} bytes, over the budget {MAX_STATE_BYTES}")
-
-
 def build_config(spec, n_cells, eps, dt, block=None):
     """The config of one run.  Its packed state, of block columns per cell
     (default (1 + nv)(k + 1)), and StencilStepper's probe of that width are
@@ -154,7 +147,7 @@ def build_config(spec, n_cells, eps, dt, block=None):
     n_cells = int(n_cells)
     block = block or (1 + spec.nv) * (spec.degree + 1)
     for cells, what in ((n_cells, "a packed state"), (probe_cells(block), "the stencil probe")):
-        _check_bytes(8 * cells * block, f"{what} of {cells} cells")
+        check_bytes(8 * cells * block, f"{what} of {cells} cells")
     return scheme.SchemeConfig(
         eps=eps,
         dt=dt,
@@ -218,7 +211,7 @@ def _plan(spec, n_cells, eps, margin=1.0, block=None, powered=False):
     if not cut_applies(config):
         n_freqs, block = config.mesh.n_cells // 2 + 1, block or (1 + spec.nv) * (spec.degree + 1)
         what = f"at dt={dt:.6g}, above dt_stab, the symbol of all {n_freqs} frequencies"
-        _check_bytes((1 + powered) * 16 * n_freqs * block**2, what + ", with its spare," * powered)
+        check_bytes((1 + powered) * 16 * n_freqs * block**2, what + ", with its spare," * powered)
     return config, n_steps, {"dt_used": dt, "dt_override": int(overrode)}
 
 

@@ -18,6 +18,13 @@ from .fields import DGField, KineticField, Mesh1D
 LIVE_TOL = 1e-15  # the live cut's roundoff floor, relative to the largest spectral coefficient
 CERT_TOL = 1e-10  # the energy certificate's allowance for roundoff, amplified by the 1/eps weights
 CERT_BYTES = 2**16  # bytes of the symbols the certificate holds at once, which bound its memory
+MAX_STATE_BYTES = 2**28  # size budget of one packed state or symbol stack, 256 MiB
+
+
+def check_bytes(n_bytes, what):
+    """Refuse what, an array of n_bytes bytes, over MAX_STATE_BYTES."""
+    if n_bytes > MAX_STATE_BYTES:
+        raise ValueError(f"{what} takes {n_bytes} bytes, over the budget {MAX_STATE_BYTES}")
 
 
 def pack_state(state):
@@ -95,7 +102,7 @@ class StencilStepper:
 
     def apply(self, packed, out=None):
         gathered = packed.take(self._gather, axis=0).reshape(len(packed), -1)
-        return np.matmul(gathered, self._stacked, out=out)
+        return np.dot(gathered, self._stacked, out=out)
 
     def symbol(self, freqs=None):
         """Fourier symbol of the step: per frequency j in freqs (default 0..N//2),
@@ -162,7 +169,7 @@ class StencilStepper:
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
         live = LiveSpectrum(self, packed)
-        return live.packed(_apply_matrix_power(live.symbol, n_steps, live.start))
+        return live.packed(_apply_matrix_power(live.symbol(spare=True), n_steps, live.start))
 
     def g_nodes(self, packed):
         """The g part of a packed state, or of a stack of them, as (..., n_cells, nv, k + 1)."""
@@ -223,14 +230,27 @@ class LiveSpectrum:
         n = config.mesh.n_cells
         self.weights = np.where((self.freqs == 0) | (2 * self.freqs == n), 1.0, 2.0) / n
 
-    @cached_property
-    def symbol(self):
-        """The step's symbol at the live frequencies, built on first use."""
+    def symbol(self, spare=False):
+        """The step's symbol at the live frequencies.  It is held to MAX_STATE_BYTES
+        before it is built, with a spare of its size where the caller powers it."""
+        n_freqs = self.freqs.size
+        what = f"the symbol of {n_freqs} live frequencies" + ", with its spare," * spare
+        check_bytes((1 + spare) * 16 * n_freqs * self.stepper.block**2, what)
         return self.stepper.symbol(self.freqs)
 
+    @cached_property
+    def _conj_symbol(self):
+        """The symbol's complex conjugate, conjugated in place on first use."""
+        symbol = self.symbol()
+        return np.conjugate(symbol, out=symbol)
+
     def step(self, spectrum, out=None):
-        """One step: one batched matvec by the symbol, without BLAS."""
-        return np.einsum("fab,fb->fa", self.symbol, spectrum, out=out)
+        """One step: per live frequency, each symbol row's dot with the spectrum.
+        np.vecdot conjugates its first factor, hence _conj_symbol.  Each dot is one
+        BLAS zdotc of block terms, which OpenBLAS runs on one thread at every
+        block the probe budget allows, so no value depends on the BLAS thread
+        count or on the other frequencies stacked beside it."""
+        return np.vecdot(self._conj_symbol, spectrum[:, None, :], out=out)
 
     def packed(self, spectrum):
         """The packed state of a live spectrum."""
@@ -359,7 +379,7 @@ def energy_history(config, state, n_steps, stop_factor=None):
     E_0 pairs the initial density with the initial g (full starting energy).
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
-    The march steps the live spectrum, one small matvec per live frequency,
+    The march steps the live spectrum, one dot per live symbol row,
     where the cut drops a frequency and may: at dt <= dt_stab, or above it on
     a probe of n_steps >= CERT_STEPS * block whose step is certified (see
     StencilStepper.certified).  Everywhere else it steps StencilStepper.apply.

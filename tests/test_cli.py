@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmdg
+from mmdg import harness, scheme
 from mmdg.cli import build_parser, main, read_config_file
 from mmdg.harness import MODELS, MODES, ExperimentSpec
 from mmdg.scheme import load_state
@@ -331,6 +332,38 @@ def test_all_live_symbol_refused_before_it_is_built(argv, message, monkeypatch, 
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 35 of the 65 frequencies hold the bump at dt_stab; one symbol is 5 184 bytes
+        ("solve --model slab --nv 8 --k 1 --cells 128 --eps 1e-2 --tmax 0.001",
+         "the symbol of 35 live frequencies takes 181440 bytes"),
+        # the first probe, at dt_stab, marches the live spectrum
+        ("stability-scan --model slab --nv 8 --k 1 --cells 128 --eps 1e-2 --tmax 0.001",
+         "the symbol of 35 live frequencies takes 181440 bytes"),
+        # the reference run, on 512 cells, comes first; propagate powers it with a spare
+        ("converge --model slab --nv 8 --k 1 --cells 32,64,128 --eps 1e-2 --tmax 0.001",
+         "the symbol of 35 live frequencies, with its spare, takes 362880 bytes"),
+        # the joint block is 22 wide
+        ("ap-limit --model slab --nv 8 --k 1 --cells 128 --eps 1e-2 --tmax 0.001",
+         "the symbol of 35 live frequencies, with its spare, takes 542080 bytes"),
+    ],
+    ids=["solve", "stability-scan", "converge", "ap-limit"],
+)
+def test_live_symbol_refused_before_it_is_built(argv, message, tmp_path, monkeypatch, capsys):
+    # under a 128 KiB budget the packed state and the probe fit, the symbol at
+    # the bump's live frequencies does not; no real size is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a symbol before refusing")
+
+    monkeypatch.setattr("mmdg.stencil.MAX_STATE_BYTES", 2**17)
+    monkeypatch.setattr("mmdg.stencil.StencilStepper.symbol", refuse)
+    out = tmp_path / "run.csv"
+    assert main(argv.split() + ["--ic", "bump", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"mmdg: error: {message}, over the budget 131072\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "eps, tmax", [("1e-2", "1e300"), ("1e-2", "400"), ("1e-8", "1e300")],
     ids=["reference", "reference-400", "heat-limit"],
 )
@@ -602,7 +635,7 @@ HEADER_CASES = {
 STATE_HEADER = (
     "# n=28;t=0.050000000000000003;eps=0.001;dt=0.0017857142857142859;degree=1;n_cells=16;"
     "x_min=0;x_max=6.2831853071795862;flux=alt-lr;model=discrete-two-point;nv=2;"
-    "include_bh=0;continuum_moments=0;g_norm_lag=1.688843838208901"
+    "include_bh=0;continuum_moments=0;g_norm_lag=1.6888438382089002"
 )
 
 
@@ -617,6 +650,19 @@ def test_header_bytes_pinned(mode, tmp_path):
     if mode == "solve":
         with open(out + ".state.csv", newline="") as fh:
             assert fh.readline() == STATE_HEADER + "\n"
+
+
+def test_pinned_g_norm_lag_is_the_literal_march_at_roundoff():
+    # STATE_HEADER's g_norm_lag comes from solve's spectral march; the literal
+    # scheme.step march of the same plan reads 1.688843838208901, 4 ulp above it
+    spec = ExperimentSpec(mode="solve", degree=1, cells=(16,), eps=(1e-3,), tmax=0.05,
+                          include_bh=False)
+    config, n_steps, _ = harness._plan(spec, 16, 1e-3)
+    state = harness._initial_state(spec, config)
+    for _ in range(n_steps - 1):
+        state = scheme.step(state, config)
+    pinned = float(STATE_HEADER.rsplit("g_norm_lag=", 1)[1])
+    assert n_steps == 28 and abs(pinned - state.g.triple_norm()) <= 8 * math.ulp(pinned)
 
 
 # the whole CSV and checkpoint of a two-cell solve, every row included; every
@@ -805,6 +851,8 @@ def test_converge_bytes_do_not_depend_on_the_cpu_count(tmp_path):
 BLAS_ARGVS = (
     "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002",
     "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005",
+    # 35 live frequencies at a block of 99: each step is 3 465 dots of 99 terms
+    "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005 --ic bump",
 )
 
 _CLI_RUN = "import sys; from mmdg.cli import main; sys.exit(main(sys.argv[1:]))"

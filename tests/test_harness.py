@@ -911,6 +911,37 @@ def test_stacked_norms_equal_per_state_norms(model, k, n_cells, n_states, seed):
         assert np.array_equal(monitor(spectra), np.concatenate(alone, axis=-1))
 
 
+@pytest.mark.parametrize(
+    "model, nv, k", [("telegraph", 2, 1), ("slab", 8, 1), ("slab", 32, 2)],
+    ids=["telegraph-B6", "slab-B18", "slab-B99"],
+)
+def test_live_step_is_one_dot_per_symbol_row(model, nv, k, monkeypatch):
+    # random data keep all 33 frequencies of 64 cells live
+    spec = ExperimentSpec(mode="solve", model=model, nv=nv, degree=k, cells=(64,), eps=(0.3,))
+    stepper = StencilStepper(build_config(spec, 64, 0.3, dt=1e-3))
+    packed = np.random.default_rng(k).standard_normal((64, stepper.block))
+    live = stencil.LiveSpectrum(stepper, packed)
+    symbol = stepper.symbol(live.freqs)
+    stacked = live.step(live.start)
+    # each row agrees with the batched einsum matvec within a few ulp of the
+    # row's scale sum_b |S_ab| |x_b|; two sum orders differ by about sqrt(block) ulp
+    ref = np.einsum("fab,fb->fa", symbol, live.start)
+    scale = np.einsum("fab,fb->fa", np.abs(symbol), np.abs(live.start))
+    assert np.all(np.abs(stacked - ref) <= 2 * math.sqrt(stepper.block) * np.spacing(scale))
+    # a frequency stepped alone, on the same symbol row, gives the same bits as
+    # in the stack: solve's rows do not depend on which other frequencies live
+    monkeypatch.setattr(stepper, "symbol", lambda freqs: symbol[np.searchsorted(live.freqs, freqs)])
+    spectrum = np.fft.rfft(packed, axis=0)
+    for i, j in enumerate(live.freqs):
+        only = np.zeros_like(spectrum)
+        only[j] = spectrum[j]
+        alone = stencil.LiveSpectrum(stepper, np.fft.irfft(only, n=64, axis=0), cut=True)
+        assert alone.freqs.tolist() == [j]
+        out = np.empty((1, stepper.block), complex)
+        alone.step(live.start[i : i + 1], out=out)
+        assert np.array_equal(out[0], stacked[i])
+
+
 def test_stencil_build_steps_once_at_the_mesh_width(monkeypatch):
     # five cells of width h = 2 pi / 13 span a mesh whose own width is not h
     spec = ExperimentSpec(mode="solve", cells=(13,), eps=(0.3,))
