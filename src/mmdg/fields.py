@@ -94,10 +94,6 @@ class KineticField:
         if self.coeff.shape != expected:
             raise ValueError(f"coefficient shape {self.coeff.shape}, expected {expected}")
 
-    def node(self, q):
-        """Per-node field (shares storage with this object)."""
-        return DGField(self.mesh, self.degree, self.coeff[q])
-
     def bracket(self):
         """Velocity average <g> as a DGField (coefficient-wise)."""
         return DGField(self.mesh, self.degree, self.space.bracket(self.coeff))

@@ -21,7 +21,7 @@ from .limit import LimitState, step_limit
 from .operators import check_flux
 # the drivers call these by their names here, which the benchmark's counters wrap
 from .stencil import LiveSpectrum, StencilStepper, cut_applies, energy_history, pack_state
-from .stencil import check_bytes, probe_cells, run_fixed_steps, unpack_state
+from .stencil import check_bytes, check_layout, run_fixed_steps, unpack_state
 
 MODELS = {"telegraph": velocity.TWO_POINT, "slab": velocity.GAUSS_ORDINATES}
 DEFAULT_NV = {"telegraph": 2, "slab": 8}  # telegraph has exactly its two nodes
@@ -141,13 +141,10 @@ class ExperimentSpec:
 
 def build_config(spec, n_cells, eps, dt, block=None):
     """The config of one run.  Its packed state, of block columns per cell
-    (default (1 + nv)(k + 1)), and StencilStepper's probe of that width are
-    held to MAX_STATE_BYTES before the velocity space is built; the probe's
-    bound holds the nv x nv node matrix and one frequency's symbol too."""
+    (default (1 + nv)(k + 1)), and StencilStepper's probe of that width pass
+    check_layout before the velocity space is built."""
     n_cells = int(n_cells)
-    block = block or (1 + spec.nv) * (spec.degree + 1)
-    for cells, what in ((n_cells, "a packed state"), (probe_cells(block), "the stencil probe")):
-        check_bytes(8 * cells * block, f"{what} of {cells} cells")
+    check_layout(n_cells, block or (1 + spec.nv) * (spec.degree + 1))
     return scheme.SchemeConfig(
         eps=eps,
         dt=dt,

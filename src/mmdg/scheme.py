@@ -186,11 +186,16 @@ def save_state(state, config, path, n, g_norm_lag):
 
 
 def load_state(path):
-    """Rebuild (state, config, n, g_norm_lag) from a checkpoint file."""
+    """Rebuild (state, config, n, g_norm_lag) from a checkpoint file.  The header's
+    packed state and stencil probe pass check_layout before the space is built."""
+    from .stencil import check_layout  # stencil imports this module
+
     with open(path, newline="") as fh:
         header = fh.readline().strip().lstrip("# ")
         meta = dict(item.split("=", 1) for item in header.split(";"))
         mesh = Mesh1D(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_cells"]))
+        k1 = max(1, int(meta["degree"]) + 1)  # SchemeConfig refuses a negative degree
+        check_layout(mesh.n_cells, (1 + int(meta["nv"])) * k1)
         space = velocity.make_velocity_space(meta["model"], int(meta["nv"]))
         config = SchemeConfig(
             eps=float(meta["eps"]),

@@ -27,6 +27,13 @@ def check_bytes(n_bytes, what):
         raise ValueError(f"{what} takes {n_bytes} bytes, over the budget {MAX_STATE_BYTES}")
 
 
+def check_layout(n_cells, block):
+    """Refuse a packed state of n_cells x block, or StencilStepper's probe of that width,
+    over MAX_STATE_BYTES; the probe bounds the nv x nv nodes and one frequency's symbol."""
+    for cells, what in ((n_cells, "a packed state"), (probe_cells(block), "the stencil probe")):
+        check_bytes(8 * cells * block, f"{what} of {cells} cells")
+
+
 def pack_state(state):
     """State as one array in the packed layout."""
     n = state.rho.coeff.shape[0]
@@ -95,25 +102,19 @@ class StencilStepper:
         self._gather = (np.arange(n)[:, None] - self._offsets) % n
         self._stacked = np.swapaxes(self._mblocks, 1, 2).reshape(-1, block)
 
-    @cached_property
-    def cut(self):
-        """Whether the live cut may drop frequencies (cut_applies), decided once."""
-        return cut_applies(self.config)
-
     def apply(self, packed, out=None):
         gathered = packed.take(self._gather, axis=0).reshape(len(packed), -1)
         return np.dot(gathered, self._stacked, out=out)
 
-    def symbol(self, freqs=None):
-        """Fourier symbol of the step: per frequency j in freqs (default 0..N//2),
+    def symbol(self, freqs):
+        """Fourier symbol of the step: per frequency j in freqs (of 0..N//2),
         the (block, block) matrix that maps rfft(packed)[j] to rfft(apply(packed))[j]."""
         n = self.config.mesh.n_cells
-        freqs = np.arange(n // 2 + 1) if freqs is None else freqs
         phase = np.exp(-2j * np.pi * np.outer(freqs, self._offsets) / n)
         return np.tensordot(phase, self._mblocks, axes=1)
 
-    def lagged_energy_map(self, freqs=None):
-        """Per frequency in freqs (default 0..N//2), scheme.step's lagged map in the
+    def lagged_energy_map(self, freqs):
+        """Per frequency in freqs (of 0..N//2), scheme.step's lagged map in the
         energy's norm: S P, where S is L: (rho^n, g^{n-1}) -> (rho^{n+1}, g^n) in the
         variables scaled by the energy's weights and P = I - M M^T projects g onto its
         mean-free part (M's column j: the scaled unit velocity mean of g's mode j).
@@ -208,8 +209,8 @@ class LiveSpectrum:
 
     Live are the frequencies whose largest coefficient exceeds LIVE_TOL times
     the spectrum's largest.  The cut needs a step that keeps the dropped
-    roundoff from growing.  By default it is the stepper's cut, made only at
-    dt <= dt_stab, where the energy theorem holds; cut=True cuts at any dt,
+    roundoff from growing.  By default it is cut_applies(stepper.config): only
+    at dt <= dt_stab, where the energy theorem holds; cut=True cuts at any dt,
     and energy_history marches such a spectrum above dt_stab only where
     StencilStepper.certified holds.  Without a cut, or with a NaN in the
     data, every frequency is live.  A state here is a (live, block) spectrum; the
@@ -223,7 +224,7 @@ class LiveSpectrum:
         self.stepper = stepper
         spectrum = np.fft.rfft(packed, axis=0)
         size = np.abs(spectrum).max(axis=1)
-        cut = stepper.cut if cut is None else cut
+        cut = cut_applies(config) if cut is None else cut
         dead = cut & (size <= LIVE_TOL * size.max())  # all False if a NaN makes the max NaN
         self.freqs = np.flatnonzero(~dead)
         self.start = spectrum[self.freqs]
@@ -385,12 +386,12 @@ def energy_history(config, state, n_steps, stop_factor=None):
     StencilStepper.certified).  Everywhere else it steps StencilStepper.apply.
     The rfft is taken only at dt <= dt_stab and on such long probes.
     """
-    stepper, packed = StencilStepper(config), pack_state(state)
+    stepper, packed, cut = StencilStepper(config), pack_state(state), cut_applies(config)
     live = None
-    if stepper.cut or n_steps >= CERT_STEPS * stepper.block:
+    if cut or n_steps >= CERT_STEPS * stepper.block:
         live = LiveSpectrum(stepper, packed, cut=True)
     drops = live and live.freqs.size < config.mesh.n_cells // 2 + 1
-    if drops and (stepper.cut or stepper.certified):
+    if drops and (cut or stepper.certified):
         march = live.march(n_steps, stop_factor)
     else:
         march = _stencil_march(stepper, packed, n_steps, stop_factor)

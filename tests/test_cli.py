@@ -845,9 +845,10 @@ def test_converge_bytes_do_not_depend_on_the_cpu_count(tmp_path):
 
 
 # wide blocks (B = 99): the stencil march wrote other rows for these argvs at
-# one BLAS thread than at two; the spectral march's per-step product uses no
-# BLAS, and since the stencil keeps only its reached offsets neither does the
-# symbol's product move a byte on the alternating fluxes at 1024 cells
+# one BLAS thread than at two; the spectral march's step is one BLAS zdotc per
+# symbol row, which OpenBLAS runs on one thread at this length, and since the
+# stencil keeps only its reached offsets the symbol's product moves no byte on
+# the alternating fluxes at 1024 cells
 BLAS_ARGVS = (
     "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002",
     "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005",

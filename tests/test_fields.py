@@ -166,7 +166,7 @@ def test_kinetic_traces_are_per_node():
     g = KineticField(space, _mesh(7), 2, rng.standard_normal((6, 7, 3)))
     minus, plus = interface_traces(g)
     for q in range(space.n_nodes):
-        node_minus, node_plus = interface_traces(g.node(q))
+        node_minus, node_plus = interface_traces(DGField(g.mesh, g.degree, g.coeff[q]))
         assert np.array_equal(minus[q], node_minus)
         assert np.array_equal(plus[q], node_plus)
 
@@ -180,7 +180,8 @@ def test_norm_examples():
     space = make_velocity_space(TWO_POINT)
     mesh = _mesh(8)
     g = project_kinetic(lambda x, v: np.sin(x), mesh, 1, space)
-    assert g.triple_norm() == pytest.approx(g.node(0).norm(), abs=1e-14)
+    node = DGField(g.mesh, g.degree, g.coeff[0])
+    assert g.triple_norm() == pytest.approx(node.norm(), abs=1e-14)
     g_v = project_kinetic(lambda x, v: v * np.ones_like(x), mesh, 1, space)
     assert g_v.triple_norm() == pytest.approx(np.sqrt(2 * np.pi), abs=1e-13)
 

@@ -982,7 +982,7 @@ def test_propagate_matches_stepping(model, n_cells):
         assert _rel_diff(stepper.propagate(packed, n_steps), stepped) <= 1e-12
     # every bit of the exponent is set, so each matvec of the powering counts
     n_steps = 2**20 - 1
-    power = np.linalg.matrix_power(stepper.symbol(), n_steps)
+    power = np.linalg.matrix_power(stepper.symbol(np.arange(n_cells // 2 + 1)), n_steps)
     spectrum = np.einsum("fab,fb->fa", power, np.fft.rfft(packed, axis=0))
     ref = np.fft.irfft(spectrum, n=n_cells, axis=0)
     assert _rel_diff(stepper.propagate(packed, n_steps), ref) <= 1e-12
@@ -1035,7 +1035,8 @@ def test_propagate_powers_only_the_live_frequencies(monkeypatch, model, nv):
             out = stepper.propagate(packed, n_steps)
             assert sum(powered) in n_live, (eps, ic, powered)
             if nv < 32:
-                spectrum = power(stepper.symbol(), n_steps, np.fft.rfft(packed, axis=0))
+                freqs = np.arange(config.mesh.n_cells // 2 + 1)
+                spectrum = power(stepper.symbol(freqs), n_steps, np.fft.rfft(packed, axis=0))
                 full = np.fft.irfft(spectrum, n=config.mesh.n_cells, axis=0)
                 assert np.max(np.abs(out - full)) <= 2e-15 * np.max(np.abs(packed)), (eps, ic)
 
@@ -1286,6 +1287,19 @@ def test_stability_scan_flags(monkeypatch, stable, flag, empirical):
     assert row["flag"] == flag
     assert row["ratio"] == pytest.approx(empirical, nan_ok=True)
     assert row["dt_empirical"] == pytest.approx(empirical * row["dt_stab"], nan_ok=True)
+
+
+@pytest.mark.parametrize("boundary", [1.0, 1.3, 5.3, 100.0])
+def test_stability_scan_bisects_to_two_percent(monkeypatch, boundary):
+    # probes are stable up to boundary * dt_stab; the row's step is the last
+    # stable one, within 2% below the boundary
+    spec = ExperimentSpec(mode="stability-scan", degree=0, cells=(8,), eps=(1.0,))
+    dt_stab = scheme.stable_dt(build_config(spec, 8, 1.0, dt=1.0))
+    monkeypatch.setattr("mmdg.harness.is_stable",
+                        lambda config, state, tmax: config.dt <= boundary * dt_stab)
+    (row,) = run_stability_scan(spec).rows
+    assert row["flag"] == "" and row["dt_stab"] == dt_stab
+    assert boundary / 1.02 <= row["ratio"] <= boundary
 
 
 def test_no_bh_empirical_boundary_scales_like_h():

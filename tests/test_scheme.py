@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ def test_checkpoint_refuses_the_six_column_format(tmp_path):
     path.write_text(header + "field,node,cell,x_left,mode,coefficient\nrho,-1,0,0,0,0.5\n")
     with pytest.raises(ValueError, match="columns are 'field,node,cell,x_left,mode,coefficient'"):
         load_state(path)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_checkpoint_refuses_a_probe_over_the_budget_before_the_space(degree, tmp_path):
+    # nv = 6000 would build a 6000-point Gauss rule, cubic in nv, before any
+    # check; a negative degree, which SchemeConfig refuses later, must not hide it
+    path = tmp_path / "state.csv"
+    header = (f"# n=0;t=0;eps=1;dt=0.001;degree={degree};n_cells=1;x_min=0;x_max=1;"
+              "flux=alt-lr;model=gauss-ordinates;nv=6000;include_bh=1;continuum_moments=0;"
+              "g_norm_lag=0\n")
+    path.write_text(header + "coefficient\n" + "0\n" * 6001)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the stencil probe of 32768 cells takes 1573126144 "
+                                         "bytes, over the budget"):
+        load_state(path)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(
