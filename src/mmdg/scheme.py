@@ -1,6 +1,6 @@
 """First-order IMEX time stepper for the micro-macro system.
 
-One step advances (rho, g) by
+One step advances (rho, g) by its halves _transport, then _relax:
     rho_new = rho - dt * R(g),                R = residual of d/dx <v g>
     g_new   = ((eps^2/dt) g - eps * B(g) + v * D(rho_new)) / (eps^2/dt + 1)
 with B the mean-free upwind streaming residual (dropped when include_bh is
@@ -78,19 +78,28 @@ def init_state(rho0, g0, config):
     return State(rho=rho, g=g)
 
 
-def step(state, config):
-    """Advance one step; pure function of (state, config)."""
+def _transport(rho, g, config):
+    """step's explicit half, rho - dt R(g)."""
+    return rho - config.dt * moment_flux_divergence(g, config.flux)
+
+
+def _relax(g, rho, config):
+    """step's implicit half: g's update from g and the new density rho."""
     eps, dt = config.eps, config.dt
-    rho_new = state.rho - dt * moment_flux_divergence(state.g, config.flux)
-    grad = minus_gradient(rho_new, config.flux)
+    grad = minus_gradient(rho, config.flux)
     v = config.space.nodes
     c1 = eps * eps / dt
-    new_coeff = c1 * state.g.coeff + v[:, None, None] * grad.coeff
+    new_coeff = c1 * g.coeff + v[:, None, None] * grad.coeff
     if config.include_bh and eps > 0.0:
-        new_coeff -= eps * streaming_fluctuation(state.g).coeff
+        new_coeff -= eps * streaming_fluctuation(g).coeff
     new_coeff /= c1 + 1.0
-    g_new = KineticField(config.space, config.mesh, config.degree, new_coeff)
-    return State(rho=rho_new, g=g_new)
+    return KineticField(config.space, config.mesh, config.degree, new_coeff)
+
+
+def step(state, config):
+    """Advance one step, _transport then _relax; pure function of (state, config)."""
+    rho_new = _transport(state.rho, state.g, config)
+    return State(rho=rho_new, g=_relax(state.g, rho_new, config))
 
 
 def stable_dt(config):

@@ -16,7 +16,7 @@ from .basis import mass_diagonal
 from .fields import DGField, KineticField, Mesh1D
 
 LIVE_TOL = 1e-15  # the live cut's roundoff floor, relative to the largest spectral coefficient
-CERT_TOL = 1e-10  # the energy certificate's allowance for roundoff, amplified by the 1/eps weights
+CERT_TOL = 1e-14  # the energy certificate's allowance for roundoff in the probed map's norm
 CERT_BYTES = 2**16  # bytes of the symbols the certificate holds at once, which bound its memory
 MAX_STATE_BYTES = 2**28  # size budget of one packed state or symbol stack, 256 MiB
 
@@ -55,6 +55,15 @@ def unpack_state(packed, config):
 def _packed_step(packed, config):
     """scheme.step on the packed layout."""
     return pack_state(scheme.step(unpack_state(packed, config), config))
+
+
+def _lagged_step(packed, config):
+    """scheme.step's halves in swapped order on the packed layout, its lagged map
+    (rho^n, g^{n-1}) -> (rho^{n+1}, g^n): g^n = _relax(g^{n-1}, rho^n), then
+    rho^{n+1} = _transport(rho^n, g^n)."""
+    state = unpack_state(packed, config)
+    g = scheme._relax(state.g, state.rho, config)
+    return pack_state(scheme.State(rho=scheme._transport(state.rho, g, config), g=g))
 
 
 class StencilStepper:
@@ -113,26 +122,26 @@ class StencilStepper:
         phase = np.exp(-2j * np.pi * np.outer(freqs, self._offsets) / n)
         return np.tensordot(phase, self._mblocks, axes=1)
 
+    @cached_property
+    def _lagged(self):
+        """The stencil of _lagged_step, probed as this one is from scheme.step."""
+        return StencilStepper(self.config, _lagged_step)
+
     def lagged_energy_map(self, freqs):
         """Per frequency in freqs (of 0..N//2), scheme.step's lagged map in the
-        energy's norm: S P, where S is L: (rho^n, g^{n-1}) -> (rho^{n+1}, g^n) in the
-        variables scaled by the energy's weights and P = I - M M^T projects g onto its
+        energy's norm: S P, where S is the symbol of _lagged_step in the variables
+        scaled by the energy's weights and P = I - M M^T projects g onto its
         mean-free part (M's column j: the scaled unit velocity mean of g's mode j).
 
         E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 pairs rho^n with g^{n-1}, so the
         energy of mean-free data never rises where every S P has 2-norm <= 1.
-        From the symbol G (rho modes first, then g node by node), with G_rr = I
-        and H = G_gg - G_gr G_rg, L = [[I + G_rg G_gr, G_rg H], [G_gr, H]].
-        The weights hold eps, so this needs eps > 0.
+        At eps = 0 the g weights are 0 and the probed g^{n-1} columns exact zeros,
+        so S divides only by the nonzero weights: it is the mass-weighted rho
+        block, the limit scheme's step.
         """
         config, k1 = self.config, self._k1
         scale = np.concatenate([np.sqrt(self._mass), config.eps * np.sqrt(self._g_weights)])
-        # scaled symbol D G D^-1: L's products of G's blocks scale with it
-        symbol = scale[:, None] * self.symbol(freqs) / scale
-        g_rho, rho_g = symbol[:, k1:, :k1], symbol[:, :k1, k1:]
-        h_map = symbol[:, k1:, k1:] - g_rho @ rho_g
-        lagged = np.concatenate([np.eye(k1) + rho_g @ g_rho, rho_g @ h_map], axis=2)
-        lagged = np.concatenate([lagged, np.concatenate([g_rho, h_map], axis=2)], axis=1)
+        lagged = scale[:, None] * self._lagged.symbol(freqs) / np.where(scale > 0, scale, 1.0)
         means = np.zeros((self.block, k1))
         means[k1:] = (np.sqrt(config.space.weights)[:, None, None] * np.eye(k1)).reshape(-1, k1)
         return lagged - lagged @ means @ means.T
@@ -143,9 +152,9 @@ class StencilStepper:
         one batched Cholesky of (1 + CERT_TOL)^2 I - (S P)^H (S P) per block of
         frequencies whose symbols fill CERT_BYTES, from the Nyquist end, where a
         step too large tends to fail first.
-        Refused at eps = 0 and where there is no dt_stab (slab without b_h)."""
+        Refused where there is no dt_stab (slab without b_h)."""
         config = self.config
-        if not config.eps > 0.0 or math.isnan(_dt_stab(config)):
+        if math.isnan(_dt_stab(config)):
             return False
         per_block = max(1, CERT_BYTES // (16 * self.block**2))
         bound = (1.0 + CERT_TOL) ** 2 * np.eye(self.block)
@@ -240,18 +249,16 @@ class LiveSpectrum:
         return self.stepper.symbol(self.freqs)
 
     @cached_property
-    def _conj_symbol(self):
-        """The symbol's complex conjugate, conjugated in place on first use."""
-        symbol = self.symbol()
-        return np.conjugate(symbol, out=symbol)
+    def _symbol(self):
+        """The symbol that step applies, built on first use."""
+        return self.symbol()
 
     def step(self, spectrum, out=None):
-        """One step: per live frequency, each symbol row's dot with the spectrum.
-        np.vecdot conjugates its first factor, hence _conj_symbol.  Each dot is one
-        BLAS zdotc of block terms, which OpenBLAS runs on one thread at every
-        block the probe budget allows, so no value depends on the BLAS thread
-        count or on the other frequencies stacked beside it."""
-        return np.vecdot(self._conj_symbol, spectrum[:, None, :], out=out)
+        """One step: per live frequency, one BLAS gemv of the symbol with the
+        spectrum, so no value depends on the other frequencies stacked beside it.
+        OpenBLAS 0.3.31 gave each gemv the same bits at one and two threads at
+        every block from 1 to 891."""
+        return np.matvec(self._symbol, spectrum, out=out)
 
     def packed(self, spectrum):
         """The packed state of a live spectrum."""
@@ -380,7 +387,7 @@ def energy_history(config, state, n_steps, stop_factor=None):
     E_0 pairs the initial density with the initial g (full starting energy).
     Returns (energies, ok): ok is False if a value went non-finite or beyond
     stop_factor * E_0, in which case the history is truncated at the bad step.
-    The march steps the live spectrum, one dot per live symbol row,
+    The march steps the live spectrum, one gemv per live frequency,
     where the cut drops a frequency and may: at dt <= dt_stab, or above it on
     a probe of n_steps >= CERT_STEPS * block whose step is certified (see
     StencilStepper.certified).  Everywhere else it steps StencilStepper.apply.

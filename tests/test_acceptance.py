@@ -512,11 +512,8 @@ def _lagged_energy_norm(stepper):
     The energy E_n = ||rho^n||^2 + eps^2 |||g^{n-1}|||^2 pairs rho^n with
     g^{n-1}, so decay for all data means the map (rho^n, g^{n-1}) ->
     (rho^{n+1}, g^n) has norm <= 1 in the energy's weights on mean-free g.
-    The map is assembled from the step's symbol on the premise G_rr = I,
-    checked here.
     """
-    k1, freqs = stepper.config.degree + 1, np.arange(stepper.config.mesh.n_cells // 2 + 1)
-    assert all(np.array_equal(block, np.eye(k1)) for block in stepper.symbol(freqs)[:, :k1, :k1])
+    freqs = np.arange(stepper.config.mesh.n_cells // 2 + 1)
     return np.linalg.norm(stepper.lagged_energy_map(freqs), ord=2, axis=(1, 2)).max()
 
 
@@ -530,8 +527,10 @@ def test_c10_energy_theorem_certificate():
     # The paper's main theorem: E_{n+1} <= E_n for every datum once
     # dt <= dt_stab, uniformly in eps.  Checked on the symbol of the step,
     # frequency by frequency, rather than through marches of chosen data.
+    # The lagged map is probed, not assembled, so its norm keeps its digits
+    # at every eps: the worst excess measured was 1.1e-15, 5 ulp of 1.
     start = time.perf_counter()
-    tolerance = 1e-10  # roundoff, amplified by the 1/eps weights
+    tolerance = 1e-14
     variants = {
         "telegraph": dict(model="telegraph"),
         "telegraph no-bh": dict(model="telegraph", include_bh=False),
@@ -540,11 +539,14 @@ def test_c10_energy_theorem_certificate():
         "slab nv=4 continuum": dict(model="slab", nv=4, continuum_moments=True),
         "slab nv=8 continuum": dict(model="slab", nv=8, continuum_moments=True),
     }
+    # eps -> 0 on two variants keeps the suite's time: 450 configs more
+    small_eps = {"telegraph": (0.0, 1e-8, 1e-10, 1e-12, 1e-14)}
+    small_eps["slab nv=8"] = small_eps["telegraph"]
     worst, where, cases, disagree = 0.0, "", 0, []
     for label, options in variants.items():
         for k in range(5):
             for flux in (ALT_LR, ALT_RL, CENTRAL):
-                for eps in (1e-6, 1e-2, 1.0, 10.0):
+                for eps in (1e-6, 1e-2, 1.0, 10.0) + small_eps.get(label, ()):
                     for n in (5, 16, 64):
                         spec = ExperimentSpec(mode="solve", degree=k, cells=(n,), eps=(eps,),
                                               flux=flux, **options)
@@ -558,13 +560,14 @@ def test_c10_energy_theorem_certificate():
                             disagree.append(where_now)
                         if excess > worst:
                             worst, where = excess, where_now
-    # negative controls: past the stable step (sharp at telegraph k = 0), and
-    # C5b's dt = 0.4h without b_h, the same norm must exceed one clearly and
-    # the certificate must refuse
+    # negative controls: past the stable step (sharp at telegraph k = 0 for
+    # eps > 0; at eps = 0 the limit step holds to 2 dt_stab), and C5b's
+    # dt = 0.4h without b_h, the same norm must exceed one clearly and the
+    # certificate must refuse
     controls = []
-    for eps in (1e-6, 1.0):
+    for eps, factor in ((1e-6, 1.05), (1.0, 1.05), (1e-12, 1.05), (0.0, 2.05)):
         config = _telegraph_k0(16, eps)
-        controls.append(StencilStepper(replace(config, dt=1.05 * scheme.stable_dt(config))))
+        controls.append(StencilStepper(replace(config, dt=factor * scheme.stable_dt(config))))
     config = _telegraph_k0(64, 1.0, include_bh=False)
     controls.append(StencilStepper(replace(config, dt=0.4 * config.mesh.h)))
     control_norms = [_lagged_energy_norm(stepper) for stepper in controls]
@@ -579,6 +582,30 @@ def test_c10_energy_theorem_certificate():
         + ", ".join(f"{x:.3f}" for x in control_norms)
         + f", certified {[stepper.certified for stepper in controls]}; {elapsed:.1f}s",
     )
+
+
+def test_eps_to_zero_certificate_is_stricter_than_the_limit_step():
+    # A measured regression bound, not the paper's claim.  At eps = 0 the
+    # certificate is the limit scheme's own step, which holds well past
+    # dt_stab; at eps = 1e-12 the same configs fail far sooner.  So the
+    # bound's eps -> 0+ limit is stricter than the limit scheme.
+    def lagged_norm(config, factor):
+        stepper = StencilStepper(replace(config, dt=factor * scheme.stable_dt(config)))
+        return _lagged_energy_norm(stepper), stepper.certified
+
+    for n in (16, 64):
+        zero, small = _telegraph_k0(n, 0.0), _telegraph_k0(n, 1e-12)
+        for factor in (1.0, 2.0):
+            norm, certified = lagged_norm(zero, factor)
+            assert abs(norm - 1.0) <= stencil.CERT_TOL and certified
+        norm, certified = lagged_norm(zero, 2.05)
+        assert abs(norm - 1.05) <= 1e-12 and not certified
+        norm, certified = lagged_norm(small, 1.05)
+        assert abs(norm - 1.0512) <= 1e-4 and not certified
+    spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=1, cells=(128,))
+    for eps, holds, fails in ((0.0, 17.4, 17.6), (1e-12, 6.25, 6.5)):
+        config = build_config(spec, 128, eps, dt=1.0)
+        assert lagged_norm(config, holds)[1] and not lagged_norm(config, fails)[1]
 
 
 # -- 12: rate of the asymptotic limit ----------------------------------------

@@ -635,7 +635,7 @@ HEADER_CASES = {
 STATE_HEADER = (
     "# n=28;t=0.050000000000000003;eps=0.001;dt=0.0017857142857142859;degree=1;n_cells=16;"
     "x_min=0;x_max=6.2831853071795862;flux=alt-lr;model=discrete-two-point;nv=2;"
-    "include_bh=0;continuum_moments=0;g_norm_lag=1.6888438382089002"
+    "include_bh=0;continuum_moments=0;g_norm_lag=1.6888438382089013"
 )
 
 
@@ -654,7 +654,7 @@ def test_header_bytes_pinned(mode, tmp_path):
 
 def test_pinned_g_norm_lag_is_the_literal_march_at_roundoff():
     # STATE_HEADER's g_norm_lag comes from solve's spectral march; the literal
-    # scheme.step march of the same plan reads 1.688843838208901, 4 ulp above it
+    # scheme.step march of the same plan reads 1.688843838208901, 1 ulp below it
     spec = ExperimentSpec(mode="solve", degree=1, cells=(16,), eps=(1e-3,), tmax=0.05,
                           include_bh=False)
     config, n_steps, _ = harness._plan(spec, 16, 1e-3)
@@ -845,14 +845,14 @@ def test_converge_bytes_do_not_depend_on_the_cpu_count(tmp_path):
 
 
 # wide blocks (B = 99): the stencil march wrote other rows for these argvs at
-# one BLAS thread than at two; the spectral march's step is one BLAS zdotc per
-# symbol row, which OpenBLAS runs on one thread at this length, and since the
-# stencil keeps only its reached offsets the symbol's product moves no byte on
-# the alternating fluxes at 1024 cells
+# one BLAS thread than at two; the spectral march's step is one BLAS gemv per
+# live frequency, which gives the same bits at one and two threads, and since
+# the stencil keeps only its reached offsets the symbol's product moves no byte
+# on the alternating fluxes at 1024 cells
 BLAS_ARGVS = (
     "solve --model slab --nv 32 --k 2 --cells 256 --tmax 0.002",
     "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005",
-    # 35 live frequencies at a block of 99: each step is 3 465 dots of 99 terms
+    # 35 live frequencies at a block of 99: each step is 35 gemvs of 99 x 99
     "solve --model slab --nv 32 --k 2 --cells 1024 --tmax 0.0005 --ic bump",
 )
 

@@ -662,10 +662,12 @@ def test_energy_history_takes_an_rfft_only_where_the_cut_applies(
     [
         (1e-2, 2.0, 0, True, "spectrum"),
         (1e-2, 5.0, 0, False, "apply"),
-        (0.0, 2.0, 0, False, "apply"),
+        (0.0, 2.0, 0, True, "spectrum"),
+        (0.0, 17.6, 0, False, "apply"),
         (1e-2, 2.0, -1, True, "short"),
     ],
-    ids=["certified", "above-the-certified-step", "eps-0", "shorter-than-the-gate"],
+    ids=["certified", "above-the-certified-step", "eps-0", "eps-0-above-the-certified-step",
+         "shorter-than-the-gate"],
 )
 def test_energy_history_marches_the_spectrum_on_long_certified_probes(
     monkeypatch, eps, factor, extra_steps, certified, path
@@ -673,9 +675,10 @@ def test_energy_history_marches_the_spectrum_on_long_certified_probes(
     # Above dt_stab a probe of at least CERT_STEPS * block steps cuts the
     # spectrum where StencilStepper.certified holds: the sweep case's eps = 0.01
     # at N = 128 is certified at 2 dt_stab, not at 5 (dt_energy is about
-    # 4.56 dt_stab there), and never at eps = 0.  Whatever the path, the
-    # probe matches the apply march: same length and verdict, energies
-    # within 1e-13 E_0.
+    # 4.56 dt_stab there); eps = 0 is certified up to 17.4 dt_stab, not at
+    # 17.6 (see test_eps_to_zero_certificate_is_stricter_than_the_limit_step).
+    # Whatever the path, the probe matches the apply march: same length and
+    # verdict, energies within 1e-13 E_0.
     calls = {"apply": 0, "rfft": 0}
 
     def counted(name, function):

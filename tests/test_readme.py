@@ -3,6 +3,7 @@ test it cites exists, and every module constant it quotes has the quoted value."
 
 import glob
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -40,6 +41,17 @@ def test_readme_cli_example_runs(argv, tmp_path, capsys):
     with open(argv[out]) as fh:
         assert len(fh.read().splitlines()) > 2  # the header, the column names, then rows
     assert capsys.readouterr().err == ""
+
+
+def test_readme_names_every_top_level_export_and_no_other():
+    # every mmdg.<name> in README is a submodule or a top-level export, and
+    # every top-level export is named there: README is the library's contract
+    named = set(re.findall(r"\bmmdg\.(\w+)", _readme()))
+    submodules = {info.name for info in pkgutil.iter_modules(mmdg.__path__)}
+    exports = {name for name, value in vars(mmdg).items()
+               if not name.startswith("_") and not inspect.ismodule(value)}
+    assert named - submodules - exports == set()
+    assert exports - named == set()
 
 
 def test_readme_has_every_mode_as_a_cli_example():
