@@ -26,6 +26,8 @@ class Mesh1D:
     n_cells: int
 
     def __post_init__(self):
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError("the domain must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("empty domain")
         if self.n_cells < 1:

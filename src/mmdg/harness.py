@@ -426,8 +426,10 @@ def run_stability_scan(spec):
     stable step as the lower end, the step doubles until a run is unstable;
     if none is within MAX_DOUBLINGS doublings the row is flagged
     no-upper-bracket.  Bisection then narrows the boundary to 2% relative
-    width.  Each case's config, initial data and MAX_STEPS budget are
-    checked at dt_stab, the smallest probe step, before the first probe.
+    width.  Both run on the ratio r, probing at r * dt_stab, so every ratio
+    is a dyadic rational, written exactly.  Each case's config, initial data
+    and MAX_STEPS budget are checked at dt_stab, the smallest probe step,
+    before the first probe.
     """
     spec.validate()
     cases = []
@@ -440,10 +442,10 @@ def run_stability_scan(spec):
     rows = []
     for config, state in cases:
 
-        def probe(dt):
-            return is_stable(replace(config, dt=dt), state, spec.tmax)
+        def probe(ratio):
+            return is_stable(replace(config, dt=ratio * config.dt), state, spec.tmax)
 
-        lo, flag = config.dt, ""
+        lo, flag = 1.0, ""
         if not probe(lo):
             lo, flag = float("nan"), "unstable-at-theory"
         else:
@@ -465,8 +467,8 @@ def run_stability_scan(spec):
                 "eps": config.eps,
                 "n_cells": config.mesh.n_cells,
                 "dt_stab": config.dt,
-                "dt_empirical": lo,
-                "ratio": lo / config.dt,
+                "dt_empirical": lo * config.dt,
+                "ratio": lo,
                 "flag": flag,
             }
         )

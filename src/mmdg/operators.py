@@ -1,8 +1,9 @@
 """DG spatial operators of the micro-macro transport system.
 
 Weak forms against every test mode are assembled exactly (volume terms via
-the Legendre derivative expansion, no quadrature) and returned mass-inverted,
-so each operator maps fields to strong-form residual fields.
+basis.grad_matrix, the Legendre derivative expansion, no quadrature) and
+returned mass-inverted, so each operator maps fields to strong-form residual
+fields.  minus_gradient is flux_divergence's residual of -rho, density side.
 
 Interface flux pairs, always applied together:
     alt-lr    moment flux from the left trace, density from the right.
@@ -13,11 +14,9 @@ expressible by calling the two operators with different flux tags, but no
 such combination is exercised or claimed stable here.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
-from .basis import legendre_basis, mass_diagonal
+from .basis import grad_matrix, legendre_basis, mass_diagonal
 from .fields import DGField, KineticField, interface_traces, periodic_shift
 
 ALT_LR = "alt-lr"
@@ -35,16 +34,6 @@ def check_flux(flux):
     if flux not in FLUXES:
         raise ValueError(f"flux must be one of {FLUXES}, got {flux!r}")
     return flux
-
-
-@lru_cache(maxsize=None)
-def _grad_matrix(degree):
-    # Q[m, j] = int_{-1}^{1} P_j P_m' dxi = 2 when j < m and m - j is odd
-    q = np.zeros((degree + 1, degree + 1))
-    for m in range(1, degree + 1):
-        q[m, m - 1 :: -2] = 2.0  # start index is >= 0, so no wraparound
-    q.flags.writeable = False
-    return q
 
 
 def _pick_side(minus, plus, side):
@@ -66,6 +55,13 @@ def _weak_form(vol, uhat, degree, h):
     return form / mass_diagonal(degree, h)
 
 
+def _residual(u, side):
+    """_weak_form of u with u_hat its interface trace from side."""
+    uhat = _pick_side(*interface_traces(u), side)
+    vol = u.coeff @ grad_matrix(u.degree).T
+    return DGField(u.mesh, u.degree, _weak_form(vol, uhat, u.degree, u.mesh.h))
+
+
 def flux_divergence(u, flux):
     """Residual of d/dx u with the chosen interface value for u.
 
@@ -73,9 +69,7 @@ def flux_divergence(u, flux):
     -sum_i int u phi_x - sum_i u_hat [phi] for every test mode phi.
     """
     check_flux(flux)
-    fhat = _pick_side(*interface_traces(u), _MOMENT_SIDE[flux])
-    vol = u.coeff @ _grad_matrix(u.degree).T
-    return DGField(u.mesh, u.degree, _weak_form(vol, fhat, u.degree, u.mesh.h))
+    return _residual(u, _MOMENT_SIDE[flux])
 
 
 def moment_flux_divergence(g, flux):
@@ -87,12 +81,10 @@ def minus_gradient(rho, flux):
     """Residual of -d/dx rho with the paired density interface value.
 
     Returns D with (D, psi) = sum_i int rho psi_x + sum_i rho_hat [psi]: the
-    weak form of -rho, whose negated inputs keep the sign of every zero.
+    residual of -rho, negated exactly before any sum.
     """
     check_flux(flux)
-    rhat = _pick_side(*interface_traces(rho), _DENSITY_SIDE[flux])
-    vol = rho.coeff @ _grad_matrix(rho.degree).T
-    return DGField(rho.mesh, rho.degree, _weak_form(-vol, -rhat, rho.degree, rho.mesh.h))
+    return _residual(-1.0 * rho, _DENSITY_SIDE[flux])
 
 
 def upwind_streaming(g):
@@ -103,7 +95,7 @@ def upwind_streaming(g):
     v = g.space.nodes[:, None]
     minus, plus = interface_traces(g)
     tilde = v * 0.5 * (minus + plus) - 0.5 * np.abs(v) * (plus - minus)
-    vol = v[:, None] * (g.coeff @ _grad_matrix(g.degree).T)
+    vol = v[:, None] * (g.coeff @ grad_matrix(g.degree).T)
     return KineticField(g.space, g.mesh, g.degree, _weak_form(vol, tilde, g.degree, g.mesh.h))
 
 

@@ -49,10 +49,10 @@ class SchemeConfig:
     continuum_moments: bool = False
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps values must be finite and >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         eps = float(self.eps)  # a Python float: overflow is inf, not a warning
         if not math.isfinite(eps * eps / self.dt):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""DG tools the field and operator tests use beside the library's own, and
+"""DG tools the tests use beside the library's own, and
 the cell-by-cell table writer that the fast one is tested against.
 
 Projection modes of project_in_mode:
@@ -13,6 +13,7 @@ product state their weak-form identities.
 import csv
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 from mmdg.basis import legendre_basis, mass_diagonal
 from mmdg.fields import DGField, KineticField, interface_traces, project
@@ -21,6 +22,16 @@ from mmdg.scheme import format_value, header_line
 L2 = "l2"
 RADAU_MINUS = "radau-minus"
 RADAU_PLUS = "radau-plus"
+
+
+def derivative_integrals(degree):
+    """(Q, S) on [-1, 1] by Gauss quadrature of npleg.legder's derivatives, a route
+    apart from mmdg.basis: Q[m, j] = int P_j P_m' and S[i, j] = 4 int P_i' P_j',
+    the scaled stiffness of the inverse constants; degree + 1 points are exact."""
+    nodes, weights = npleg.leggauss(degree + 1)
+    derivs = npleg.legval(nodes, npleg.legder(np.eye(degree + 1), axis=0)).T
+    weighted = derivs * weights[:, None]
+    return weighted.T @ npleg.legvander(nodes, degree), 4.0 * weighted.T @ derivs
 
 
 def project_in_mode(f, mesh, degree, mode):

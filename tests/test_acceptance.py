@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from dg_tools import derivative_integrals
 from mmdg import scheme, stencil
 from mmdg.basis import inverse_constants, legendre_basis, mass_diagonal
 from mmdg.fields import DGField, KineticField, Mesh1D, l2_error
@@ -42,7 +43,9 @@ def _report(name, ok, detail=""):
 
 def test_c1_inverse_constants():
     start = time.perf_counter()
-    exact = inverse_constants(0).c_inv == 1.0
+    # c_inv = (k + 1)^2 in closed form; c_inv_hat = 0, 12, 60 at k <= 2, bit for bit
+    exact = all(inverse_constants(k).c_inv == (k + 1) ** 2 for k in range(5))
+    exact &= [inverse_constants(k).c_inv_hat for k in range(3)] == [0.0, 12.0, 60.0]
     never_violated = True
     reached = True
     for k in range(5):
@@ -64,8 +67,7 @@ def test_c1_inverse_constants():
         reached &= bool(quotients.max() >= inv.c_inv - 1e-6)
         if k >= 1:
             dn, dw = npleg.leggauss(k + 2)
-            dv = basis.deriv_vandermonde(dn)
-            dvec = np.linalg.eigh(4.0 * (dv * dw[:, None]).T @ dv / mass_outer)[1][:, -1] * scale
+            dvec = np.linalg.eigh(derivative_integrals(k)[1] / mass_outer)[1][:, -1] * scale
             coeffs = _samples(k, dvec, rng)
             vals = npleg.legval(dn, coeffs.T)
             dvals = npleg.legval(dn, npleg.legder(coeffs.T, axis=0))
@@ -171,22 +173,33 @@ def test_c3_energy_monotone_grid():
 
 
 def test_c4_cfl_formulas():
+    # dt_stab in closed form per degree: the telegraph model and the slab
+    # model with continuum moments, c_inv = (k + 1)^2 and c_inv_hat = 0, 12, 60
+    telegraph = {
+        0: lambda h, eps: 0.25 * h * h + 0.5 * eps * h,
+        1: lambda h, eps: h * (h + 8 * min(eps, 2 * h / 3)) / 152,
+        2: lambda h, eps: h * (h + 18 * min(eps, 3 * h / 10)) / 768,
+    }
+    slab = {
+        0: lambda h, eps: h * h / 3.0 + 2.0 * eps * h / 3.0,
+        1: lambda h, eps: h * (h + 8 * min(eps, 3 * h / 4)) / 112,
+        2: lambda h, eps: h * (h + 18 * min(eps, 27 * h / 80)) / 566,
+    }
     ok = True
-    for n in (16, 32, 64):
-        for eps in (0.0, 1e-6, 1e-2, 0.3, 1.0):
-            spec = ExperimentSpec(mode="solve", model="telegraph", degree=0,
-                                  cells=(n,), eps=(eps,))
-            config = build_config(spec, n, eps, dt=1.0)
-            h = config.mesh.h
-            got = scheme.stable_dt(config)
-            want = 0.25 * h * h + 0.5 * eps * h
-            ok &= abs(got - want) <= 1e-15 * want
-            spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=0,
-                                  cells=(n,), eps=(eps,), continuum_moments=True)
-            config = build_config(spec, n, eps, dt=1.0)
-            got = scheme.stable_dt(config)
-            want = h * h / 3.0 + 2.0 * eps * h / 3.0
-            ok &= abs(got - want) <= 1e-15 * want
+    for k in (0, 1, 2):
+        for n in (16, 32, 64):
+            for eps in (0.0, 1e-6, 1e-2, 0.3, 1.0):
+                spec = ExperimentSpec(mode="solve", model="telegraph", degree=k,
+                                      cells=(n,), eps=(eps,))
+                config = build_config(spec, n, eps, dt=1.0)
+                h = config.mesh.h
+                want = telegraph[k](h, eps)
+                ok &= abs(scheme.stable_dt(config) - want) <= 1e-15 * want
+                spec = ExperimentSpec(mode="solve", model="slab", nv=8, degree=k,
+                                      cells=(n,), eps=(eps,), continuum_moments=True)
+                config = build_config(spec, n, eps, dt=1.0)
+                want = slab[k](h, eps)
+                ok &= abs(scheme.stable_dt(config) - want) <= 1e-15 * want
     _report("C4 stable-step formulas", ok)
 
 

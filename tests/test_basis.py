@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from dg_tools import derivative_integrals
 from mmdg.basis import (
     LegendreBasis,
     gauss_rule,
+    grad_matrix,
     inverse_constants,
     legendre_basis,
     mass_diagonal,
@@ -55,6 +57,18 @@ def test_gauss_rule_is_shared_and_read_only(n_points):
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_grad_matrix_is_shared_and_read_only(k):
+    # the derivative table the operators and the inverse constants share,
+    # against int P_j P_m' by quadrature of npleg.legder's derivatives
+    table = grad_matrix(k)
+    assert np.max(np.abs(table - derivative_integrals(k)[0])) < 1e-13
+    assert set(table.ravel()) <= {0.0, 2.0}
+    assert grad_matrix(k) is table
+    with pytest.raises(ValueError):
+        table[-1, 0] = 0.0
+
+
 def test_inverse_constants_k0():
     inv = inverse_constants(0)
     assert inv.c_inv == 1.0  # exact: constants saturate the trace inequality
@@ -66,8 +80,8 @@ def test_inverse_constants_k1():
     # trace quotient 2 w(1)^2 / int w^2 maximizes to 4 at a = b/3,
     # derivative quotient 4 int w'^2 / int w^2 maximizes to 12 at a = 0
     inv = inverse_constants(1)
-    assert inv.c_inv == pytest.approx(4.0, rel=1e-12)
-    assert inv.c_inv_hat == pytest.approx(12.0, rel=1e-12)
+    assert inv.c_inv == 4.0
+    assert inv.c_inv_hat == 12.0
 
 
 def _trace_quotient(coeffs):
@@ -102,6 +116,10 @@ def _sharpness_samples(k, extremal, rng, count):
 def test_sharpness_randomized(k):
     rng = np.random.default_rng(2024 + k)
     inv = inverse_constants(k)
+    # c_inv = (k + 1)^2 by Cauchy-Schwarz on the endpoint sum; c_inv_hat is
+    # the integer stiffness's top eigenvalue, exact where it is an integer
+    assert inv.c_inv == (k + 1) ** 2
+    assert k > 2 or inv.c_inv_hat == (0.0, 12.0, 60.0)[k]
     basis = legendre_basis(k)
     # extremal vectors of the two quadratic forms, from the same reduction
     scale = 1.0 / np.sqrt(basis.ref_mass)
@@ -114,11 +132,7 @@ def test_sharpness_randomized(k):
     assert best >= inv.c_inv - 1e-6
 
     if k >= 1:
-        nodes, weights = npleg.leggauss(k + 2)
-        dv = basis.deriv_vandermonde(nodes)
-        stiff = 4.0 * (dv * weights[:, None]).T @ dv / np.sqrt(
-            np.outer(basis.ref_mass, basis.ref_mass)
-        )
+        stiff = derivative_integrals(k)[1] / np.sqrt(np.outer(basis.ref_mass, basis.ref_mass))
         dvec = np.linalg.eigh(stiff)[1][:, -1] * scale
     else:
         dvec = np.ones(1)

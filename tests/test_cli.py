@@ -913,7 +913,7 @@ SCAN_FILE = (
     "force_dt=False;continuum_moments=False;growth_limit=10\n"
     "eps,n_cells,dt_stab,dt_empirical,ratio,flag\n"
     "0.01,16,0.0020347139848343313,0.025179585562324851,12.375,\n"
-    "1,16,0.01195569629521521,0.13450158332117113,11.250000000000002,\n"
+    "1,16,0.011955696295215215,0.13450158332117118,11.25,\n"
 )
 
 
@@ -937,11 +937,10 @@ SCAN_EXAMPLE_FILES = {
         "include_bh=True;" + _SPEC_TAIL + "tmax=1;ic=sin;out={out};force_dt=False;"
         "continuum_moments=False;growth_limit=10\n"
         "eps,n_cells,dt_stab,dt_empirical,ratio,flag\n"
-        "9.9999999999999995e-07,32,0.0096383837227092505,0.030421148624801067,"
-        "3.1562499999999996,\n"
+        "9.9999999999999995e-07,32,0.0096383837227092505,0.030119949133466408,3.125,\n"
         "0.0001,32,0.0096481030249812947,0.030150321953066547,3.125,\n"
-        "0.01,32,0.010620033252185636,0.029536967482641303,2.78125,\n"
-        "0.10000000000000001,32,0.01945576259040693,0.030703625337985936,1.578125,\n"
+        "0.01,32,0.010620033252185636,0.029536967482641299,2.78125,\n"
+        "0.10000000000000001,32,0.01945576259040693,0.030399629047510826,1.5625,\n"
         "1,32,0.10781305597261988,0.16171958395892982,1.5,\n",
     ),
     "bench-sweep": (
@@ -952,11 +951,9 @@ SCAN_EXAMPLE_FILES = {
         "include_bh=True;" + _SPEC_TAIL + "tmax=0.050000000000000003;ic=sin;out={out};"
         "force_dt=False;continuum_moments=False;growth_limit=10\n"
         "eps,n_cells,dt_stab,dt_empirical,ratio,flag\n"
-        "9.999997802059999e-07,128,2.2915350957245894e-05,0.00041820515496973762,"
-        "18.250000000000004,\n"
-        "0.0100000075051,128,5.8769372417848018e-05,0.00030119303364147112,"
-        "5.1250000000000009,\n"
-        "1.00000001017,128,0.00015993566247939306,0.01567369492298052,98,\n",
+        "9.999997802059999e-07,128,2.2915350957245894e-05,0.00041820515496973756,18.25,\n"
+        "0.0100000075051,128,5.8769372417848018e-05,0.00030119303364147107,5.125,\n"
+        "1.00000001017,128,0.00015993566247939311,0.015673694922980524,98,\n",
     ),
 }
 

@@ -170,7 +170,7 @@ def test_stable_dt_telegraph_k1_transcription():
         config = _config(space=TELEGRAPH, eps=eps, k=1, n=32)
         h = config.mesh.h
         expected = h / (a1 + a2 * a3) * (h + min(eps, a2 * h / a1) * a3)
-        assert stable_dt(config) == pytest.approx(expected, rel=1e-12)
+        assert stable_dt(config) == pytest.approx(expected, rel=1e-15)
 
 
 def test_stable_dt_without_bh():
@@ -180,7 +180,7 @@ def test_stable_dt_without_bh():
     config = _config(space=TELEGRAPH, eps=1.0, k=2, n=32, include_bh=False)
     inv_c, inv_hat = 9.0, 60.0
     assert stable_dt(config) == pytest.approx(
-        h * h / (inv_hat + 4 * inv_c**2), rel=1e-12
+        h * h / (inv_hat + 4 * inv_c**2), rel=1e-15
     )
     with pytest.raises(ValueError):
         stable_dt(_config(space=SLAB, include_bh=False))
@@ -309,6 +309,27 @@ def test_checkpoint_refuses_the_six_column_format(tmp_path):
     header = path.read_text().splitlines(keepends=True)[0]
     path.write_text(header + "field,node,cell,x_left,mode,coefficient\nrho,-1,0,0,0,0.5\n")
     with pytest.raises(ValueError, match="columns are 'field,node,cell,x_left,mode,coefficient'"):
+        load_state(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dt", "inf", "dt must be positive and finite"),
+        ("eps", "nan", "eps values must be finite and >= 0"),
+        ("x_max", "inf", "the domain must be finite"),
+    ],
+    ids=["dt-inf", "eps-nan", "x_max-inf"],
+)
+def test_checkpoint_refuses_a_non_finite_header_value(key, value, message, tmp_path):
+    # a config with dt=inf would step to all NaN
+    config = _config(space=SLAB, k=1, n=8)
+    path = tmp_path / "state.csv"
+    save_state(_well_prepared(config), config, path, 0, 1.0)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    items = dict(item.split("=", 1) for item in header[2:-1].split(";"))
+    path.write_text(scheme.header_line({**items, key: value}) + "".join(rest))
+    with pytest.raises(ValueError, match=message):
         load_state(path)
 
 
