@@ -10,6 +10,7 @@ arithmetic mod N.  Initial data enter through the L2 projection: cell
 moments 0..k match the target.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class Mesh1D:
             raise ValueError("the domain must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("empty domain")
+        if not isinstance(self.n_cells, numbers.Integral):
+            raise ValueError(f"the cell count must be an integer, got {self.n_cells!r}")
         if self.n_cells < 1:
             raise ValueError("need at least one cell")
 
@@ -120,7 +123,8 @@ def project(f, mesh, degree):
     fx = np.broadcast_to(fx, fx.shape[:-2] + x.shape)
     # reference-cell moments int f P_m dxi, all cells at once
     moments = fx @ (vand * weights[:, None])
-    return DGField(mesh, degree, moments / basis.ref_mass)
+    moments /= basis.ref_mass
+    return DGField(mesh, degree, moments)
 
 
 def project_kinetic(g, mesh, degree, space):

@@ -341,10 +341,16 @@ def _convergence_levels(spec, eps, cells):
     return levels, (build_config(spec, REF_FACTOR_X * cells[-1], eps, dt), n_steps)
 
 
-def _field_stack(state):
-    """rho, then g at every velocity node, as one stacked DGField."""
-    rho = state.rho
-    return DGField(rho.mesh, rho.degree, np.concatenate((rho.coeff[None], state.g.coeff)))
+def _stack_view(packed, config):
+    """A packed state as one stacked DGField, rho then g at every velocity node:
+    its (1 + nv, N, k + 1) transposed view, no copy."""
+    n, k1 = config.mesh.n_cells, config.degree + 1
+    return DGField(config.mesh, config.degree, packed.reshape(n, -1, k1).swapaxes(0, 1))
+
+
+def _final_packed(spec, config, n_steps):
+    """The packed state after n_steps from the spec's initial data, one run_fixed_steps."""
+    return run_fixed_steps(config, pack_state(_initial_state(spec, config)), n_steps)
 
 
 def run_convergence(spec):
@@ -354,7 +360,8 @@ def run_convergence(spec):
     against the exact decayed-sine solution of the limiting heat equation;
     otherwise against a reference run on a REF_FACTOR_X finer mesh with the
     finest dt / REF_FACTOR_T.  Each run is one run_fixed_steps, which powers
-    the step's Fourier symbol.  Every run's config is built at its own dt
+    the step's Fourier symbol, on a packed state; the distances read its
+    transposed view.  Every run's config is built at its own dt
     before the first step, so a bad eps is refused before any work.  A level
     whose err_rho is exactly 0 measures nothing: its solutions decayed to 0
     by tmax, which is refused before any row is written.  A non-finite error,
@@ -378,15 +385,14 @@ def run_convergence(spec):
             target = lambda x: np.stack(  # rho, then g at every node
                 [decay * np.sin(x)] + [-v * decay * np.cos(x) for v in space.nodes])
         else:
-            ref_state = run_fixed_steps(ref[0], _initial_state(spec, ref[0]), ref[1])
             distance = l2_distance
-            target = _field_stack(ref_state)
+            target = _stack_view(_final_packed(spec, *ref), ref[0])
         prev = None
         for config, n_steps in levels:
             # a forced unstable step overflows; its errors come out non-finite
             with np.errstate(over="ignore", invalid="ignore"):
-                final = run_fixed_steps(config, _initial_state(spec, config), n_steps)
-                err_rho, *err_nodes = distance(_field_stack(final), target).tolist()
+                final = _stack_view(_final_packed(spec, config, n_steps), config)
+                err_rho, *err_nodes = distance(final, target).tolist()
             if err_rho == 0.0:
                 raise ValueError(f"tmax={spec.tmax:.6g} is too large: the solutions decay to 0, "
                                  f"so err_rho is 0 at N={config.mesh.n_cells}")

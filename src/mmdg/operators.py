@@ -48,11 +48,17 @@ def _weak_form(vol, uhat, degree, h):
     """Mass-inverted -int u phi_x - u_hat [phi] for every test mode phi.
 
     vol holds int u phi_x (cells on axis -2), uhat the interface values
-    (interfaces on the last axis).
+    (interfaces on the last axis).  The form is built in vol, which the
+    caller hands over, by the operations of -vol - uhat P(-1) + shift(uhat),
+    then / mass, in that order; mode by mode for the middle term, so no
+    temporary is larger than uhat.
     """
-    at_left = legendre_basis(degree).at_left
-    form = -vol - uhat[..., None] * at_left + periodic_shift(uhat, -1)[..., None]
-    return form / mass_diagonal(degree, h)
+    form = np.negative(vol, out=vol)
+    for j, at_left in enumerate(legendre_basis(degree).at_left):
+        form[..., j] -= uhat * at_left
+    form += periodic_shift(uhat, -1)[..., None]
+    form /= mass_diagonal(degree, h)
+    return form
 
 
 def _residual(u, side):
@@ -94,8 +100,14 @@ def upwind_streaming(g):
     """
     v = g.space.nodes[:, None]
     minus, plus = interface_traces(g)
-    tilde = v * 0.5 * (minus + plus) - 0.5 * np.abs(v) * (plus - minus)
-    vol = v[:, None] * (g.coeff @ grad_matrix(g.degree).T)
+    # (v/2) (minus + plus) - (|v|/2) (plus - minus), in the traces' fresh arrays
+    tilde = minus + plus
+    tilde *= v * 0.5
+    jump = np.subtract(plus, minus, out=minus)
+    jump *= 0.5 * np.abs(v)
+    tilde -= jump
+    vol = g.coeff @ grad_matrix(g.degree).T
+    vol *= v[:, None]
     return KineticField(g.space, g.mesh, g.degree, _weak_form(vol, tilde, g.degree, g.mesh.h))
 
 
@@ -106,5 +118,5 @@ def streaming_fluctuation(g):
     result vanishes identically.
     """
     streamed = upwind_streaming(g)
-    mean = g.space.bracket(streamed.coeff)
-    return KineticField(g.space, g.mesh, g.degree, streamed.coeff - mean)
+    streamed.coeff -= g.space.bracket(streamed.coeff)
+    return streamed

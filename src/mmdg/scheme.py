@@ -10,6 +10,7 @@ valid input: the step then degenerates to the explicit limit update
 g_new = v * D(rho_new).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,19 +80,27 @@ def init_state(rho0, g0, config):
 
 
 def _transport(rho, g, config):
-    """step's explicit half, rho - dt R(g)."""
-    return rho - config.dt * moment_flux_divergence(g, config.flux)
+    """step's explicit half, rho - dt R(g), formed in R's array."""
+    residual = moment_flux_divergence(g, config.flux)
+    residual.coeff *= float(config.dt)
+    np.subtract(rho.coeff, residual.coeff, out=residual.coeff)
+    return residual
 
 
 def _relax(g, rho, config):
-    """step's implicit half: g's update from g and the new density rho."""
+    """step's implicit half: g's update from g and the new density rho.
+    The sums are formed in place, the same operations in the same order as
+    (c1 g + v D(rho) - eps B(g)) / (c1 + 1)."""
     eps, dt = config.eps, config.dt
     grad = minus_gradient(rho, config.flux)
     v = config.space.nodes
     c1 = eps * eps / dt
-    new_coeff = c1 * g.coeff + v[:, None, None] * grad.coeff
+    new_coeff = c1 * g.coeff
+    new_coeff += v[:, None, None] * grad.coeff
     if config.include_bh and eps > 0.0:
-        new_coeff -= eps * streaming_fluctuation(g).coeff
+        fluctuation = streaming_fluctuation(g).coeff
+        fluctuation *= eps
+        new_coeff -= fluctuation
     new_coeff /= c1 + 1.0
     return KineticField(config.space, config.mesh, config.degree, new_coeff)
 
@@ -165,16 +174,17 @@ def header_line(items):
 def write_table(path, header, columns, rows):
     """Every output file: header line, column names, then rows, every line ending in \\n.
 
-    Each row is one % operation, by a template of _format_of's formats kept
-    per tuple of cell types, so a cell reads as format_value gives it.  Cells
-    are scalars; no cell holds a comma, a quote or a line break.
+    Each run of consecutive rows that share one tuple of cell types is one %
+    operation over the run's cells, by _format_of's formats repeated once per
+    row, so a cell reads as format_value gives it.  Cells are scalars; no
+    cell holds a comma, a quote or a line break.
     """
-    templates, lines = {}, [header_line(header)]
-    for row in [tuple(columns), *map(tuple, rows)]:
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = ",".join(map(_format_of, types)) + "\n"
-        lines.append(templates[types] % row)
+    lines = [header_line(header)]
+    table = itertools.chain([tuple(columns)], map(tuple, rows))
+    for types, run in itertools.groupby(table, lambda row: tuple(map(type, row))):
+        run = list(run)
+        template = ",".join(map(_format_of, types)) + "\n"
+        lines.append(template * len(run) % tuple(itertools.chain.from_iterable(run)))
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 

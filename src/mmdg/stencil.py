@@ -35,10 +35,12 @@ def check_layout(n_cells, block):
 
 
 def pack_state(state):
-    """State as one array in the packed layout."""
-    n = state.rho.coeff.shape[0]
-    flat_g = np.swapaxes(state.g.coeff, 0, 1).reshape(n, -1)
-    return np.concatenate([state.rho.coeff, flat_g], axis=1)
+    """State as one array in the packed layout, filled in place."""
+    rho, g = state.rho.coeff, state.g.coeff
+    packed = np.empty((rho.shape[0], 1 + len(g), rho.shape[1]))
+    packed[:, 0] = rho
+    packed[:, 1:] = np.swapaxes(g, 0, 1)
+    return packed.reshape(len(packed), -1)
 
 
 def unpack_state(packed, config):
@@ -314,15 +316,16 @@ def _apply_matrix_power(mats, exponent, vecs):
         mats, spare = spare, mats
 
 
-def run_fixed_steps(config, state, n_steps):
-    """Advance n_steps with the compiled propagator; zero steps return state.
+def run_fixed_steps(config, packed, n_steps):
+    """Advance a packed state n_steps with the compiled propagator; zero steps
+    return packed itself.
 
     The stencil is probed at the mesh's h and folded mod N, so this one path
     serves every mesh, N >= 1.
     """
     if n_steps == 0:
-        return state
-    return unpack_state(StencilStepper(config).propagate(pack_state(state), n_steps), config)
+        return packed
+    return StencilStepper(config).propagate(packed, n_steps)
 
 
 CHUNK_BYTES = 2**18  # states the march stacks per monitor pass, capped in bytes

@@ -1,5 +1,7 @@
-"""DG tools the tests use beside the library's own, and
-the cell-by-cell table writer that the fast one is tested against.
+"""DG tools the tests use beside the library's own, the cell-by-cell table
+writer that the fast one is tested against, and out-of-place transcriptions
+of the residuals, the projection and the step that the library's in-place
+arithmetic is tested against bit for bit.
 
 Projection modes of project_in_mode:
     l2            cell moments 0..k match the target (mmdg.fields.project).
@@ -15,9 +17,10 @@ import csv
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from mmdg.basis import legendre_basis, mass_diagonal
-from mmdg.fields import DGField, KineticField, interface_traces, project
-from mmdg.scheme import format_value, header_line
+from mmdg.basis import grad_matrix, legendre_basis, mass_diagonal
+from mmdg.fields import DGField, KineticField, interface_traces, periodic_shift, project
+from mmdg.operators import ALT_LR, ALT_RL
+from mmdg.scheme import State, format_value, header_line
 
 L2 = "l2"
 RADAU_MINUS = "radau-minus"
@@ -125,3 +128,76 @@ def inner(a, b):
     a._check_compatible(b)
     md = mass_diagonal(a.degree, a.mesh.h)
     return float(np.einsum("ij,ij,j->", a.coeff, b.coeff, md))
+
+
+# Out-of-place transcriptions: every operation is its own expression, in the
+# order the library's in-place forms must keep.
+
+
+def _weak_form_expr(vol, uhat, degree, h):
+    at_left = legendre_basis(degree).at_left
+    form = -vol - uhat[..., None] * at_left + periodic_shift(uhat, -1)[..., None]
+    return form / mass_diagonal(degree, h)
+
+
+def _residual_expr(u, side):
+    """The weak form of u with its interface trace from side, "minus", "plus"
+    or None for the average."""
+    minus, plus = interface_traces(u)
+    uhat = {"minus": minus, "plus": plus}.get(side)
+    if uhat is None:
+        uhat = 0.5 * (minus + plus)
+    vol = u.coeff @ grad_matrix(u.degree).T
+    return DGField(u.mesh, u.degree, _weak_form_expr(vol, uhat, u.degree, u.mesh.h))
+
+
+def flux_divergence_expr(u, flux):
+    """mmdg.operators.flux_divergence out of place."""
+    return _residual_expr(u, {ALT_LR: "minus", ALT_RL: "plus"}.get(flux))
+
+
+def minus_gradient_expr(rho, flux):
+    """mmdg.operators.minus_gradient out of place."""
+    return _residual_expr(-1.0 * rho, {ALT_LR: "plus", ALT_RL: "minus"}.get(flux))
+
+
+def upwind_streaming_expr(g):
+    """mmdg.operators.upwind_streaming out of place."""
+    v = g.space.nodes[:, None]
+    minus, plus = interface_traces(g)
+    tilde = v * 0.5 * (minus + plus) - 0.5 * np.abs(v) * (plus - minus)
+    vol = v[:, None] * (g.coeff @ grad_matrix(g.degree).T)
+    return KineticField(g.space, g.mesh, g.degree,
+                        _weak_form_expr(vol, tilde, g.degree, g.mesh.h))
+
+
+def streaming_fluctuation_expr(g):
+    """mmdg.operators.streaming_fluctuation out of place."""
+    streamed = upwind_streaming_expr(g)
+    mean = g.space.bracket(streamed.coeff)
+    return KineticField(g.space, g.mesh, g.degree, streamed.coeff - mean)
+
+
+def project_expr(f, mesh, degree):
+    """mmdg.fields.project out of place."""
+    basis = legendre_basis(degree)
+    x, nodes, weights = mesh.quad_points(degree + 2)
+    vand = basis.vandermonde(nodes)
+    fx = np.asarray(f(x), dtype=float)
+    fx = np.broadcast_to(fx, fx.shape[:-2] + x.shape)
+    moments = fx @ (vand * weights[:, None])
+    return DGField(mesh, degree, moments / basis.ref_mass)
+
+
+def step_expr(state, config):
+    """mmdg.scheme.step out of place: rho - dt R(g), then
+    (c1 g + v D(rho) - eps B(g)) / (c1 + 1) with c1 = eps^2 / dt."""
+    eps, dt = config.eps, config.dt
+    rho = state.rho - dt * flux_divergence_expr(state.g.bracket_v(), config.flux)
+    grad = minus_gradient_expr(rho, config.flux)
+    c1 = eps * eps / dt
+    coeff = c1 * state.g.coeff + config.space.nodes[:, None, None] * grad.coeff
+    if config.include_bh and eps > 0.0:
+        coeff = coeff - eps * streaming_fluctuation_expr(state.g).coeff
+    coeff = coeff / (c1 + 1.0)
+    return State(rho=rho, g=KineticField(config.space, config.mesh, config.degree, coeff))

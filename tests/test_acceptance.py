@@ -322,8 +322,8 @@ def test_c7_temporal_order():
 
     def rho_after(dt, n_steps):
         cfg = replace(config, dt=dt)
-        state = scheme.init_state(ic.rho0, ic.g0, cfg)
-        return run_fixed_steps(cfg, state, n_steps).rho
+        packed = stencil.pack_state(scheme.init_state(ic.rho0, ic.g0, cfg))
+        return stencil.unpack_state(run_fixed_steps(cfg, packed, n_steps), cfg).rho
 
     reference = rho_after(dt0 / 128, n0 * 128)  # finest step / 16
     errors = [(rho_after(dt0 / 2**j, n0 * 2**j) - reference).norm() for j in range(4)]

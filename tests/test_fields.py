@@ -46,6 +46,13 @@ def test_mesh_basics():
         Mesh1D(0.0, 1.0, 0)
 
 
+def test_mesh_refuses_a_non_integral_cell_count():
+    # a fractional count would give h = 1/8.5 and fail later on the shape
+    with pytest.raises(ValueError, match="cell count must be an integer, got 8.5"):
+        Mesh1D(0.0, 1.0, 8.5)
+    assert Mesh1D(0.0, 1.0, np.int64(8)).h == 0.125
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_projection_reproduces_broken_polynomials(mode, k):
@@ -273,6 +280,37 @@ def test_stacked_l2_distance_matches_one_by_one(k, coarse_cells, ratio):
                             DGField(fine_mesh, k, fine.coeff[s]))
         assert stacked[s] == alone
         assert alone == pytest.approx(one, rel=2e-15, abs=0)
+
+
+def _packed_view(packed, mesh, k):
+    # converge's error stack: a packed (N, (1 + nv)(k + 1)) state's transposed
+    # (1 + nv, N, k + 1) view
+    return DGField(mesh, k, packed.reshape(mesh.n_cells, -1, k + 1).swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("coarse_cells, ratio", [(5, 1), (4, 2), (3, 4), (2, 8)])
+def test_distances_of_packed_views_match_contiguous_stacks(k, coarse_cells, ratio):
+    # the distances read the strided view of a packed state with the bits they
+    # give on its contiguous copy
+    rng = np.random.default_rng(100 * k + 10 * coarse_cells + ratio)
+    n_fields = 9
+    coarse_mesh, fine_mesh = _mesh(coarse_cells), _mesh(ratio * coarse_cells)
+    coarse = _packed_view(rng.standard_normal((coarse_cells, n_fields * (k + 1))), coarse_mesh, k)
+    fine = _packed_view(rng.standard_normal((ratio * coarse_cells, n_fields * (k + 1))),
+                        fine_mesh, k)
+    assert not coarse.coeff.flags.c_contiguous and not fine.coeff.flags.c_contiguous
+
+    def copy(field):
+        return DGField(field.mesh, k, np.ascontiguousarray(field.coeff))
+
+    viewed = l2_distance(coarse, fine)
+    assert viewed.tobytes() == l2_distance(copy(coarse), copy(fine)).tobytes()
+
+    def exact(x):
+        return np.sin(np.arange(1, n_fields + 1)[:, None, None] * x)
+
+    assert l2_error(fine, exact).tobytes() == l2_error(copy(fine), exact).tobytes()
 
 
 def _exact_l2_distance(coarse, fine, mpmath):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -222,7 +223,7 @@ def test_fixed_steps_match_reference(n_steps, n_cells):
     ref = state
     for _ in range(n_steps):
         ref = scheme.step(ref, config)
-    fast = run_fixed_steps(config, state, n_steps)
+    fast = unpack_state(run_fixed_steps(config, pack_state(state), n_steps), config)
     assert np.max(np.abs(ref.rho.coeff - fast.rho.coeff)) < 1e-11
     assert np.max(np.abs(ref.g.coeff - fast.g.coeff)) < 1e-11
 
@@ -1123,7 +1124,7 @@ def test_zero_fixed_steps_return_the_state():
     config = build_config(spec, 16, 0.3, dt=2e-4)
     ic = IC_REGISTRY["sin"]
     state = scheme.step(scheme.init_state(ic.rho0, ic.g0, config), config)
-    out = run_fixed_steps(config, state, 0)
+    out = unpack_state(run_fixed_steps(config, pack_state(state), 0), config)
     assert np.array_equal(out.rho.coeff, state.rho.coeff)
     assert np.array_equal(out.g.coeff, state.g.coeff)
 
@@ -1145,13 +1146,31 @@ def test_fixed_steps_are_one_propagate(monkeypatch):
     spec = ExperimentSpec(mode="solve", model="slab", nv=6, degree=1, cells=(16,), eps=(0.3,))
     config = build_config(spec, 16, 0.3, dt=2e-4)
     ic = IC_REGISTRY["sin"]
-    state = scheme.init_state(ic.rho0, ic.g0, config)
+    packed = pack_state(scheme.init_state(ic.rho0, ic.g0, config))
     calls = _count_calls(monkeypatch, StencilStepper,
                          ("propagate", "apply", "rho_norm_sq", "g_norm_sq"))
     for n_steps in (1, 7):
         calls.clear()
-        run_fixed_steps(config, state, n_steps)
+        run_fixed_steps(config, packed, n_steps)
         assert calls == {"propagate": 1}, n_steps
+
+
+def test_converge_peak_memory_stays_near_its_reference_state():
+    # the bench's refine spec: the states stay packed from projection to error
+    # and the stencil probe's step makes few temporaries, so the traced peak
+    # stays under 5 packed states of the 1024-cell reference (6.1 of them
+    # when each run was unpacked and restacked)
+    spec = ExperimentSpec(mode="converge", model="slab", nv=32, degree=2,
+                          cells=(64, 128, 256), eps=(1e-2,), tmax=0.1)
+    harness.run(spec)  # the caches of the basis and the velocity space fill once
+    tracemalloc.start()
+    try:
+        harness.run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reference_state = 8 * 1024 * (1 + 32) * 3
+    assert peak < 5 * reference_state, peak / reference_state
 
 
 def test_ap_limit_takes_no_kinetic_norm(monkeypatch):

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dg_tools
 from dg_tools import eval_from_right, write_table_by_cell
 from mmdg import scheme
-from mmdg.fields import DGField, KineticField, Mesh1D
+from mmdg.fields import DGField, KineticField, Mesh1D, project
 from mmdg.limit import init_limit_state, step_limit
-from mmdg.operators import ALT_LR, CENTRAL, FLUXES
+from mmdg.operators import (
+    ALT_LR,
+    CENTRAL,
+    FLUXES,
+    flux_divergence,
+    minus_gradient,
+    streaming_fluctuation,
+    upwind_streaming,
+)
 from mmdg.scheme import (
     SchemeConfig,
     energy,
@@ -144,6 +153,53 @@ def test_well_prepared_mean_stays_zero():
         for _ in range(100):
             state = step(state, config)
         assert state.g.bracket().norm() < 1e-13
+
+
+def _signed_random(rng, shape):
+    """Normal samples with exact zeros of both signs, one cell all zeros."""
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    values[rng.random(shape) < 0.2] = -0.0
+    values[..., 1, :] = -0.0
+    return values
+
+
+def _same_bits(a, b):
+    """Equal shape and bytes: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flux", FLUXES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_in_place_arithmetic_matches_the_out_of_place_expressions(k, flux):
+    # the residuals, the projection and the step form their sums in arrays
+    # they allocated; bit for bit they are the expressions written out of place
+    rng = np.random.default_rng(10 * k + FLUXES.index(flux))
+    mesh = Mesh1D(0.0, 2 * np.pi, 7)
+    single = DGField(mesh, k, _signed_random(rng, (7, k + 1)))
+    stacked = DGField(mesh, k, _signed_random(rng, (3, 2, 7, k + 1)))
+    for u in (single, stacked):
+        assert _same_bits(flux_divergence(u, flux).coeff,
+                          dg_tools.flux_divergence_expr(u, flux).coeff)
+        assert _same_bits(minus_gradient(u, flux).coeff,
+                          dg_tools.minus_gradient_expr(u, flux).coeff)
+    scale = rng.standard_normal(3)
+    for f in (lambda x: np.exp(np.sin(scale[0] * x)),
+              lambda x: np.stack([np.cos(a * x) for a in scale])):
+        assert _same_bits(project(f, mesh, k).coeff, dg_tools.project_expr(f, mesh, k).coeff)
+    for space in (TELEGRAPH, SLAB):
+        g = KineticField(space, mesh, k, _signed_random(rng, (space.n_nodes, 7, k + 1)))
+        assert _same_bits(upwind_streaming(g).coeff, dg_tools.upwind_streaming_expr(g).coeff)
+        assert _same_bits(streaming_fluctuation(g).coeff,
+                          dg_tools.streaming_fluctuation_expr(g).coeff)
+        state = scheme.State(rho=single, g=g)
+        for eps, include_bh in ((0.0, True), (1e-3, True), (0.7, True), (0.7, False)):
+            config = _config(space, eps=eps, dt=0.013, k=k, flux=flux, n=7,
+                             include_bh=include_bh)
+            fast, slow = step(state, config), dg_tools.step_expr(state, config)
+            assert _same_bits(fast.rho.coeff, slow.rho.coeff), (space.kind, eps)
+            assert _same_bits(fast.g.coeff, slow.g.coeff), (space.kind, eps)
 
 
 def test_stable_dt_telegraph_k0_formula():
